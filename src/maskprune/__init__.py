@@ -13,6 +13,7 @@ from .errors import (
     ConvergenceError,
     DataError,
     MaskPruneError,
+    NumericalError,
     ShapeError,
 )
 from .influence import (
@@ -56,6 +57,7 @@ __all__ = [
     "InfluenceMap",
     "MaskPruneError",
     "Model",
+    "NumericalError",
     "RunReport",
     "ShapeError",
     "SharpnessSchedule",

@@ -21,6 +21,10 @@ class CheckpointError(MaskPruneError, ValueError):
     """A checkpoint file was malformed, truncated, or version-incompatible."""
 
 
+class NumericalError(MaskPruneError, ArithmeticError):
+    """A training loss came out NaN or Inf; raised before any weight update."""
+
+
 class ConvergenceError(MaskPruneError, RuntimeError):
     """A pruning strategy failed to reach a stable binary state.
 

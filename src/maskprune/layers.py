@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .tensor import Tensor, _as_array, conv2d_backward, conv2d_forward, conv_output_hw
+from .tensor import Tensor, _as_array, conv2d_backward, conv2d_forward
 
 
 class Parameter:
@@ -87,8 +87,12 @@ class MaskedConv2d:
     def forward(self, x, train: bool = True):
         x = _as_array(x)
         w_eff = self.mask * self.weight.data
-        out_t, cols = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding,
-                                     return_cache=True)
+        if train:
+            out_t, cols = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding,
+                                         return_cache=True)
+        else:  # keep no Cin*Kh*Kw-times-input columns; backward recomputes them
+            out_t = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding)
+            cols = None
         out = out_t.data
         pre_gate = out if self.apply_gate else None
         if self.apply_gate:
@@ -221,7 +225,9 @@ class BatchNorm2d:
                     f"batchnorm requires batch size >= 2 in training mode, got {x.shape[0]}"
                 )
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # centre once; the variance and x_hat both come from this buffer
+            x_hat = x - mean[None, :, None, None]
+            var = (x_hat * x_hat).mean(axis=(0, 2, 3))
             if update_stats:
                 new_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
                 new_var = (1 - self.momentum) * self.running_var + self.momentum * var
@@ -231,29 +237,34 @@ class BatchNorm2d:
                     self.running_mean = np.where(update_mask, new_mean, self.running_mean)
                     self.running_var = np.where(update_mask, new_var, self.running_var)
         else:
-            mean, var = self.running_mean, self.running_var
+            x_hat = x - self.running_mean[None, :, None, None]
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = self.gamma.data[None, :, None, None] * x_hat + self.beta.data[None, :, None, None]
-        self._cache = (x_hat, inv_std, train, x.shape)
+        x_hat *= inv_std[None, :, None, None]
+        out = x_hat * self.gamma.data[None, :, None, None]
+        out += self.beta.data[None, :, None, None]
+        self._cache = (x_hat, inv_std, train)
         return Tensor(out)
 
     def backward(self, grad_out):
         if self._cache is None:
             raise ShapeError("backward called before forward")
         g = _as_array(grad_out)
-        x_hat, inv_std, train, shape = self._cache
-        n, _, h, w = shape
+        x_hat, inv_std, train = self._cache
+        n, _, h, w = x_hat.shape
         m = n * h * w
-        self.gamma.grad = (g * x_hat).sum(axis=(0, 2, 3))
+        gx = g * x_hat
+        self.gamma.grad = gx.sum(axis=(0, 2, 3))
         self.beta.grad = g.sum(axis=(0, 2, 3))
-        g_hat = g * self.gamma.data[None, :, None, None]
+        scale = (self.gamma.data * inv_std)[None, :, None, None]
         if not train:
-            return Tensor(g_hat * inv_std[None, :, None, None])
-        sum_g = g_hat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        dx = (inv_std[None, :, None, None] / m) * (m * g_hat - sum_g - x_hat * sum_gx)
-        return Tensor(dx)
+            return Tensor(g * scale)
+        # dx = gamma * inv_std * (g - sum(g)/m - x_hat * sum(g * x_hat)/m), per channel
+        np.multiply(x_hat, (self.gamma.grad / -m)[None, :, None, None], out=gx)
+        gx += g
+        gx -= (self.beta.grad / m)[None, :, None, None]
+        gx *= scale
+        return Tensor(gx)
 
     def param_groups(self, delta_freeze: float = 0.0):
         yield self.gamma, None
@@ -267,7 +278,9 @@ class ReLU:
     def forward(self, x, train: bool = True):
         x = _as_array(x)
         self._mask = x > 0
-        return Tensor(np.where(self._mask, x, 0.0))
+        # np.maximum propagates NaN, so a bad weight upstream still reaches
+        # the trainer's loss check
+        return Tensor(np.maximum(x, 0.0))
 
     def backward(self, grad_out):
         g = _as_array(grad_out)
@@ -285,34 +298,35 @@ class MaxPool2d:
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         return h // self.kernel, w // self.kernel
 
+    def _taps(self, ho: int, wo: int) -> list[tuple]:
+        """Index of the strided [N,C,Ho,Wo] view for each of the k*k window taps."""
+        k = self.kernel
+        return [np.s_[:, :, i:ho * k:k, j:wo * k:k] for i in range(k) for j in range(k)]
+
     def forward(self, x, train: bool = True):
         x = _as_array(x)
-        k = self.kernel
         n, c, h, w = x.shape
-        ho, wo = h // k, w // k
+        ho, wo = self.out_hw(h, w)
         if ho == 0 or wo == 0:
-            raise ShapeError(f"maxpool window {k} larger than input {h}x{w}")
-        xc = x[:, :, : ho * k, : wo * k]
-        windows = xc.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, ho, wo, k * k
-        )
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+            raise ShapeError(f"maxpool window {self.kernel} larger than input {h}x{w}")
+        taps = self._taps(ho, wo)
+        out = x[taps[0]].copy()
+        idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
+        better = np.empty(out.shape, dtype=bool)
+        # running maximum; strict ">" keeps the first maximum in each window
+        for t, view in enumerate(taps[1:], 1):
+            np.greater(x[view], out, out=better)
+            np.maximum(out, x[view], out=out)
+            np.copyto(idx, t, where=better)
         self._cache = (x.shape, idx)
         return Tensor(out)
 
     def backward(self, grad_out):
         g = _as_array(grad_out)
         shape, idx = self._cache
-        n, c, h, w = shape
-        k = self.kernel
-        ho, wo = h // k, w // k
-        flat = np.zeros((n, c, ho, wo, k * k), dtype=g.dtype)
-        np.put_along_axis(flat, idx[..., None], g[..., None], axis=-1)
         gx = np.zeros(shape, dtype=g.dtype)
-        gx[:, :, : ho * k, : wo * k] = flat.reshape(n, c, ho, wo, k, k).transpose(
-            0, 1, 2, 4, 3, 5
-        ).reshape(n, c, ho * k, wo * k)
+        for t, view in enumerate(self._taps(*idx.shape[2:])):
+            np.copyto(gx[view], g, where=idx == t)
         return Tensor(gx)
 
 

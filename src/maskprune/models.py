@@ -522,10 +522,19 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        required = {k for k in self.state_arrays() if not k.endswith(".velocity")}
-        missing = required - set(arrays)
+        """Replace the model state with ``arrays``; every array is checked
+        for presence and shape before anything is assigned."""
+        shapes = {k: v.shape for k, v in self.state_arrays().items()
+                  if not k.endswith(".velocity")}
+        missing = set(shapes) - set(arrays)
         if missing:
             raise ShapeError(f"state is missing arrays: {sorted(missing)[:4]}")
+        for key, want in shapes.items():
+            for name in (key, f"{key}.velocity"):
+                if name in arrays and np.shape(arrays[name]) != want:
+                    raise ShapeError(
+                        f"state array {name} has shape {tuple(np.shape(arrays[name]))}, "
+                        f"model expects {tuple(want)}")
         for name, layer in self._named_layers():
             if isinstance(layer, (MaskedConv2d, MaskedLinear)):
                 layer.weight.data = arrays[f"{name}.weight"].copy()

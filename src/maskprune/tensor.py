@@ -6,6 +6,14 @@ activations but all verification paths run in float64).  Convolutions use the
 cross-correlation convention on NCHW activations with OIHW kernels; no
 dilation, grouping, or graph-level autodiff lives here — layers call the
 explicit backward functions themselves.
+
+Convolutions unroll their input channel-major (Chellapilla et al. 2006; Caffe):
+``im2col`` builds a ``[Cin*Kh*Kw, N*Ho*Wo]`` column matrix, the forward pass is
+the single GEMM ``w.reshape(Cout, -1) @ cols`` and the backward pass computes
+``grad_w = g2 @ cols.T`` and ``grad_cols = w.reshape(Cout, -1).T @ g2`` from the
+upstream gradient ``g2`` transposed once to ``[Cout, N*Ho*Wo]``.  The column
+matrix itself is never transposed.  That layout is the contract between
+``conv2d_forward(return_cache=True)`` and ``conv2d_backward(cols=)``.
 """
 
 from __future__ import annotations
@@ -134,21 +142,25 @@ def _check_conv_args(x: np.ndarray, w: np.ndarray, stride: int, padding: int) ->
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unroll conv receptive fields into a [N*Ho*Wo, Cin*Kh*Kw] matrix."""
+    """Unroll conv receptive fields into a channel-major [Cin*Kh*Kw, N*Ho*Wo] matrix.
+
+    Row ``(c*Kh + i)*Kw + j`` holds input channel ``c`` shifted by kernel tap
+    ``(i, j)`` at every output position, ordered ``(n, y, x)``.  Rows line up
+    with ``w.reshape(Cout, -1)`` of an OIHW kernel, so a convolution is the
+    single GEMM ``w.reshape(Cout, -1) @ cols``.
+    """
     n, cin, h, w = x.shape
     ho, wo = conv_output_hw(h, w, kh, kw, stride, padding)
-    if padding > 0:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x
-    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=x.dtype)
+    # channel-major padded copy: each tap below is one strided block copy
+    xp = np.zeros((cin, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((cin, kh, kw, n, ho, wo), dtype=x.dtype)
     for i in range(kh):
         i_end = i + stride * ho
         for j in range(kw):
             j_end = j + stride * wo
-            cols[:, :, i, j, :, :] = xp[:, :, i:i_end:stride, j:j_end:stride]
-    # -> [N, Ho, Wo, Cin, Kh, Kw] -> flat rows over output positions
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, cin * kh * kw)
+            cols[:, i, j] = xp[:, :, i:i_end:stride, j:j_end:stride]
+    return cols.reshape(cin * kh * kw, n * ho * wo)
 
 
 def col2im(
@@ -159,16 +171,18 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add the im2col matrix back onto an input-shaped array."""
+    """Scatter-add an im2col matrix back onto an NCHW input-shaped array (the
+    exact transpose of ``im2col``)."""
     n, cin, h, w = x_shape
     ho, wo = conv_output_hw(h, w, kh, kw, stride, padding)
-    cols6 = cols.reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    cols6 = cols.reshape(cin, kh, kw, n, ho, wo)
     xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    xp_cm = xp.transpose(1, 0, 2, 3)  # channel-major view of the same buffer
     for i in range(kh):
         i_end = i + stride * ho
         for j in range(kw):
             j_end = j + stride * wo
-            xp[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, :, i, j, :, :]
+            xp_cm[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, i, j]
     if padding > 0:
         return xp[:, :, padding : padding + h, padding : padding + w]
     return xp
@@ -177,7 +191,7 @@ def col2im(
 def conv2d_forward(x, w, bias=None, stride: int = 1, padding: int = 0, return_cache: bool = False):
     """Cross-correlate x [N,Cin,H,W] with w [Cout,Cin,Kh,Kw] plus a per-channel bias.
 
-    With ``return_cache=True`` also returns the unrolled input matrix so a
+    With ``return_cache=True`` also returns the ``im2col`` matrix so a
     following backward call can skip recomputing it.
     """
     x, w = _as_array(x), _as_array(w)
@@ -185,14 +199,13 @@ def conv2d_forward(x, w, bias=None, stride: int = 1, padding: int = 0, return_ca
     n = x.shape[0]
     cout, cin, kh, kw = w.shape
     cols = im2col(x, kh, kw, stride, padding)
-    out = cols @ w.reshape(cout, -1).T
+    out = w.reshape(cout, -1) @ cols
     if bias is not None:
         b = _as_array(bias)
         if b.shape != (cout,):
             raise ShapeError(f"conv2d bias must have shape ({cout},), got {tuple(b.shape)}")
-        out += b
-    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-    result = Tensor(np.ascontiguousarray(out))
+        out += b[:, None]
+    result = Tensor(out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
     if return_cache:
         return result, cols
     return result
@@ -216,9 +229,9 @@ def conv2d_backward(x, w, grad_out, stride: int = 1, padding: int = 0, cols: np.
         )
     if cols is None:
         cols = im2col(x, kh, kw, stride, padding)
-    g2 = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-    grad_w = (g2.T @ cols).reshape(cout, cin, kh, kw)
-    grad_bias = g2.sum(axis=0)
-    grad_cols = g2 @ w.reshape(cout, -1)
+    g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
+    grad_w = (g2 @ cols.T).reshape(cout, cin, kh, kw)
+    grad_bias = g2.sum(axis=1)
+    grad_cols = w.reshape(cout, -1).T @ g2
     grad_x = col2im(grad_cols, x.shape, kh, kw, stride, padding)
     return Tensor(grad_x), Tensor(grad_w), Tensor(grad_bias)

@@ -17,6 +17,7 @@ pattern ("false pruning") until compaction physically removes the channels.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from . import pruning
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, write_effective_config
 from .data import Dataset, batches, cifar10_dataset, mnist_dataset, synthetic_dataset
-from .errors import ConfigError, ConvergenceError, ShapeError
+from .errors import ConfigError, ConvergenceError, NumericalError, ShapeError
 from .influence import (
     ChannelScorer,
     InfluenceMap,
@@ -212,6 +213,7 @@ class Trainer:
         self.metrics: dict = {}
         self.phase_seconds: dict[str, float] = {}
         self.out_dir = Path(cfg.out_dir)
+        self.stage: str | None = None  # stage id a failing train_step reports
 
     # -- data/loss plumbing ---------------------------------------------
 
@@ -230,9 +232,13 @@ class Trainer:
         return lr
 
     def train_step(self, x: np.ndarray, y: np.ndarray, active: str | None,
-                   lr: float) -> StepMetrics:
+                   lr: float, step: int = 0) -> StepMetrics:
         """One optimization step; with an active layer the loss gains the
-        weighted strategy term and the scorer trains jointly."""
+        weighted strategy term and the scorer trains jointly.
+
+        A non-finite classification loss raises :class:`NumericalError`
+        naming the stage, epoch and ``step`` before any gradient is applied.
+        """
         cfg = self.cfg
         if active is not None:
             state = self.strategies[active]
@@ -245,6 +251,10 @@ class Trainer:
             layer.gate[:] = state.soft
         logits = self.model.forward(x, train=True)
         loss_cls, grad = softmax_cross_entropy(logits, y)
+        if not math.isfinite(loss_cls):
+            raise NumericalError(
+                f"non-finite loss {loss_cls} in stage {self.stage or '(none)'}, epoch "
+                f"{self.global_epoch}, step {step}; no update was applied")
         self.model.backward(grad.data)
         if active is not None:
             weight, s_loss = strategy_step(
@@ -277,7 +287,7 @@ class Trainer:
             lr = self._baseline_lr(e)
             running = 0.0
             for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
-                m = self.train_step(x, y, None, lr)
+                m = self.train_step(x, y, None, lr, step=i)
                 running += m.loss_total
                 if (i + 1) % self.cfg.log_every == 0:
                     log.info("baseline epoch %d step %d loss %.4f", e, i + 1,
@@ -390,8 +400,8 @@ class Trainer:
         # convergence window and the stall booster starve on small datasets
         eval_every = max(1, min(cfg.strategy_eval_every, self.steps_per_epoch() // 3))
         for epoch_i in range(cfg.max_prune_epochs):
-            for x, y in self._train_batches(self.global_epoch):
-                m = self.train_step(x, y, name, cfg.prune_lr)
+            for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
+                m = self.train_step(x, y, name, cfg.prune_lr, step=i)
                 step_count += 1
                 if step_count % eval_every == 0:
                     if monitor.observe(state, self._schedule):
@@ -435,7 +445,7 @@ class Trainer:
     def _stage_finetune(self, phase: Phase) -> None:
         for e in range(phase.epochs):
             for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
-                self.train_step(x, y, None, self.cfg.finetune_lr)
+                self.train_step(x, y, None, self.cfg.finetune_lr, step=i)
             self.global_epoch += 1
             log.info("finetune epoch %d done", e)
 
@@ -463,6 +473,7 @@ class Trainer:
             if stage in self.completed:
                 continue
             t0 = time.perf_counter()
+            self.stage = stage
             runners[phase.kind](phase)
             self.phase_seconds[stage] = self.phase_seconds.get(stage, 0.0) + (
                 time.perf_counter() - t0)

@@ -7,6 +7,7 @@ import pytest
 
 from maskprune.cli import main
 from maskprune.metrics import load_report_csv, load_report_json
+from maskprune.models import build_model
 
 
 def write_quick_config(tmp_path, **over):
@@ -49,6 +50,21 @@ class TestExitCodes:
         ckpt.write_bytes(b"MPRNCKPT" + b"\x00" * 64)
         assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
         assert "runtime failure" in capsys.readouterr().err
+
+
+    def test_nan_loss_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        import maskprune.cli as cli
+
+        def poisoned(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            model.blocks[1].conv.weight.data[0, 0, 0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(cli, "build_model", poisoned)
+        assert main(["train", "--config", str(write_quick_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure: non-finite loss nan in stage baseline, epoch 0, step 0" in err
+        assert not (tmp_path / "run" / "checkpoint-baseline.ckpt").exists()
 
 
 @pytest.fixture(scope="module")

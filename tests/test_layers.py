@@ -161,6 +161,23 @@ class TestMaskedConv2d:
 
         assert rel_err(got, numgrad(loss, conv.gate)) <= 1e-5
 
+    def test_eval_forward_keeps_no_columns_and_backward_matches_train_path(self):
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(2, 3, 7, 9))
+        g = rng.normal(size=(2, 4, 4, 5))
+        grads = []
+        for train in (True, False):
+            conv = make_conv(3, 4, 3, stride=2, padding=1, seed=7)
+            conv.apply_gate = True
+            conv.gate[:] = [1.0, 0.5, 0.0, 0.25]
+            conv.forward(Tensor(x), train=train)
+            assert (conv._cache[2] is None) == (not train)
+            gx = conv.backward(Tensor(g))
+            grads.append((gx.data, conv.weight.grad, conv.bias.grad, conv.gate_grad,
+                          conv.mask_grad))
+        for a, b in zip(*grads):
+            assert_allclose(a, b, rtol=0, atol=0)
+
 
 class TestMaskedLinear:
     def test_gradients(self):
@@ -248,6 +265,29 @@ class TestBatchNorm:
         gx = bn.backward(Tensor(proj))
         assert rel_err(gx.data, numgrad(loss, x)) <= 1e-5
 
+    def test_train_mode_gradients_with_frozen_channel(self):
+        rng = np.random.default_rng(59)
+        bn = BatchNorm2d(3)
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
+        bn.beta.data[:] = rng.normal(size=3)
+        x = rng.normal(loc=1.0, scale=2.0, size=(8, 3, 3, 4))
+        proj = rng.normal(size=x.shape)
+        frozen = np.array([True, False, True])
+
+        def loss():
+            return float((bn.forward(Tensor(x), train=True, update_mask=frozen).data
+                          * proj).sum())
+
+        bn.forward(Tensor(x), train=True, update_mask=frozen)
+        gx = bn.backward(Tensor(proj))
+        gamma_grad, beta_grad = bn.gamma.grad, bn.beta.grad
+        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-4
+        assert rel_err(gamma_grad, numgrad(loss, bn.gamma.data)) <= 1e-4
+        assert rel_err(beta_grad, numgrad(loss, bn.beta.data)) <= 1e-4
+        # every forward above refreshed the running estimates but channel 1's
+        assert bn.running_mean[1] == 0.0 and bn.running_var[1] == 1.0
+        assert bn.running_mean[0] != 0.0 and bn.running_var[2] != 1.0
+
     def test_train_batch_of_one_rejected(self):
         bn = BatchNorm2d(2)
         with pytest.raises(DataError):
@@ -285,10 +325,44 @@ class TestPoolingAndActivation:
         gx = pool.backward(Tensor(proj))
         assert rel_err(gx.data, numgrad(loss, x)) <= 1e-6
 
+    def test_maxpool_ties_route_gradient_to_first_element(self):
+        pool = MaxPool2d(2)
+        x = np.zeros((1, 2, 4, 4))
+        x[0, 1] = 3.0                      # channel 1: equal-valued windows
+        x[0, 1, 2, 3] = 5.0                # ...except one with a clear maximum
+        out = pool.forward(Tensor(x))
+        assert_allclose(out.data[0, 1], [[3.0, 3.0], [3.0, 5.0]], rtol=0, atol=0)
+        g = np.arange(1.0, 9.0).reshape(1, 2, 2, 2)
+        gx = pool.backward(Tensor(g)).data
+        want = np.zeros_like(x)
+        want[:, :, ::2, ::2] = g           # top-left of each window
+        want[0, 1, 2, 2] = 0.0
+        want[0, 1, 2, 3] = g[0, 1, 1, 1]
+        assert_allclose(gx, want, rtol=0, atol=0)
+
+    def test_relu_passes_nan_forward(self):
+        out = ReLU().forward(Tensor(np.array([[-1.0, np.nan, 2.0]])))
+        assert out.data[0, 0] == 0.0 and np.isnan(out.data[0, 1]) and out.data[0, 2] == 2.0
+
     def test_maxpool_drops_remainder(self):
         x = np.arange(2 * 1 * 5 * 5, dtype=float).reshape(2, 1, 5, 5)
         out = MaxPool2d(2).forward(Tensor(x))
         assert out.shape == (2, 1, 2, 2)
+        # odd sizes: the trailing row and column get zero gradient
+        rng = np.random.default_rng(65)
+        pool = MaxPool2d(2)
+        x = rng.normal(size=(2, 3, 7, 5))
+        out = pool.forward(Tensor(x))
+        assert_allclose(out.data, x[:, :, :6, :4].reshape(2, 3, 3, 2, 2, 2).max(axis=(3, 5)),
+                        rtol=0, atol=0)
+        proj = rng.normal(size=out.shape)
+        gx = pool.backward(Tensor(proj)).data
+        assert not gx[:, :, 6, :].any() and not gx[:, :, :, 4].any()
+
+        def loss():
+            return float((pool.forward(Tensor(x)).data * proj).sum())
+
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-6
 
     def test_global_avg_pool(self):
         rng = np.random.default_rng(67)

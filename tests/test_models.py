@@ -87,6 +87,25 @@ class TestStateRoundTrip:
         with pytest.raises(ShapeError):
             m.load_state_arrays(state)
 
+    @pytest.mark.parametrize("key,resize", [
+        ("conv2.conv.weight", lambda a: np.zeros((a.shape[0], a.shape[1] + 1, *a.shape[2:]))),
+        ("conv3.conv.gate", lambda a: np.ones(a.size - 1)),
+    ])
+    def test_shape_mismatch_rejected_before_any_assignment(self, key, resize):
+        m = build_model("tiny-cnn", 1, 28, 10, seed=0)
+        before = {k: v.copy() for k, v in m.state_arrays().items()}
+        # a differently seeded state, so any array assigned before the check shows
+        state = {k: v.copy() for k, v in build_model("tiny-cnn", 1, 28, 10,
+                                                     seed=1).state_arrays().items()}
+        want = state[key].shape
+        state[key] = resize(state[key])
+        with pytest.raises(ShapeError) as err:
+            m.load_state_arrays(state)
+        msg = str(err.value)
+        assert key in msg and str(want) in msg and str(state[key].shape) in msg
+        for k, v in m.state_arrays().items():
+            assert_allclose(v, before[k], rtol=0, atol=0)
+
 
 class TestCompaction:
     def _exercise(self, model, x):

@@ -1,6 +1,8 @@
 """Tensor-core tests: every fast path is checked against a slow loop-nest
 oracle, every backward pass against central finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,6 +51,16 @@ def conv_oracle(x, w, bias, stride, padding):
                         acc += (patch * w[co, ci]).sum()
                     out[b, co, i, j] = acc
     return out
+
+
+# (input NCHW, kernel OIHW, stride, padding) beyond the square and 8x7 cases;
+# Cout != Cin throughout
+SHAPE_CASES = {
+    "shortcut-1x1-s2": ((2, 4, 8, 8), (6, 4, 1, 1), 2, 0),
+    "odd-7x9-s2-p1": ((2, 3, 7, 9), (5, 3, 3, 3), 2, 1),
+    "odd-7x9-s2-p0": ((3, 2, 7, 9), (1, 2, 3, 3), 2, 0),
+    "odd-9x7-s1-p1": ((2, 2, 9, 7), (3, 2, 3, 3), 1, 1),
+}
 
 
 class TestBasicOps:
@@ -107,22 +119,44 @@ class TestConvGeometry:
         # <im2col(x), y> == <x, col2im(y)> makes col2im the exact transpose,
         # which is what the backward pass relies on
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 3, 6, 6))
-        cols = im2col(x, 3, 3, stride=1, padding=1)
-        y = rng.normal(size=cols.shape)
-        lhs = float((cols * y).sum())
-        back = col2im(y, x.shape, 3, 3, stride=1, padding=1)
-        rhs = float((x * back).sum())
-        assert_allclose(lhs, rhs, rtol=1e-12)
+        cases = [((2, 3, 6, 6), (1, 3, 3, 3), 1, 1), *SHAPE_CASES.values()]
+        for x_shape, (_, _, kh, kw), stride, padding in cases:
+            x = rng.normal(size=x_shape)
+            cols = im2col(x, kh, kw, stride=stride, padding=padding)
+            y = rng.normal(size=cols.shape)
+            lhs = float((cols * y).sum())
+            back = col2im(y, x.shape, kh, kw, stride=stride, padding=padding)
+            assert back.shape == x.shape
+            rhs = float((x * back).sum())
+            assert_allclose(lhs, rhs, rtol=1e-12)
+
+    def test_im2col_layout_is_channel_major(self):
+        # row (c*Kh + i)*Kw + j, column (n*Ho + y)*Wo + x holds the padded
+        # input at channel c, row y*stride + i, column x*stride + j: the
+        # contract between conv2d_forward's cache and conv2d_backward(cols=)
+        rng = np.random.default_rng(5)
+        n, cin, h, w, k, stride, padding = 2, 3, 7, 9, 3, 2, 1
+        x = rng.normal(size=(n, cin, h, w))
+        cols = im2col(x, k, k, stride, padding)
+        ho, wo = conv_output_hw(h, w, k, k, stride, padding)
+        assert cols.shape == (cin * k * k, n * ho * wo)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        for c, i, j, b, y, xx in itertools.product(range(cin), range(k), range(k),
+                                                   range(n), range(ho), range(wo)):
+            assert cols[(c * k + i) * k + j, (b * ho + y) * wo + xx] == \
+                xp[b, c, y * stride + i, xx * stride + j]
 
 
 class TestConvForward:
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
-    def test_matches_loop_oracle(self, stride, padding):
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        pytest.param((2, 3, 8, 7), (4, 3, 3, 3), stride, padding, id=f"{stride}-{padding}")
+        for stride, padding in [(1, 0), (1, 1), (2, 1), (2, 0)]
+    ] + [pytest.param(*case, id=name) for name, case in SHAPE_CASES.items()])
+    def test_matches_loop_oracle(self, x_shape, w_shape, stride, padding):
         rng = np.random.default_rng(17)
-        x = rng.normal(size=(2, 3, 8, 7))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
         got = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride, padding)
         want = conv_oracle(x, w, b, stride, padding)
         assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
@@ -190,13 +224,36 @@ class TestConvBackward:
 
     def test_cached_cols_give_same_answer(self):
         rng = np.random.default_rng(31)
-        x = rng.normal(size=(2, 3, 6, 6))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        out, cols = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), 1, 1,
-                                   return_cache=True)
-        g = rng.normal(size=out.shape)
-        with_cache = conv2d_backward(Tensor(x), Tensor(w), Tensor(g), 1, 1, cols=cols)
-        without = conv2d_backward(Tensor(x), Tensor(w), Tensor(g), 1, 1)
-        for a, c in zip(with_cache, without):
-            assert_allclose(a.data, c.data, rtol=0, atol=0)
+        cases = [((2, 3, 6, 6), (4, 3, 3, 3), 1, 1), *SHAPE_CASES.values()]
+        for x_shape, w_shape, stride, padding in cases:
+            x = rng.normal(size=x_shape)
+            w = rng.normal(size=w_shape)
+            b = rng.normal(size=w_shape[0])
+            out, cols = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride, padding,
+                                       return_cache=True)
+            g = rng.normal(size=out.shape)
+            with_cache = conv2d_backward(Tensor(x), Tensor(w), Tensor(g), stride, padding,
+                                         cols=cols)
+            without = conv2d_backward(Tensor(x), Tensor(w), Tensor(g), stride, padding)
+            for a, c in zip(with_cache, without):
+                assert_allclose(a.data, c.data, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding",
+                             list(SHAPE_CASES.values()), ids=list(SHAPE_CASES))
+    def test_gradients_match_finite_differences_on_shapes(self, x_shape, w_shape, stride,
+                                                         padding):
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        proj = rng.normal(size=conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride,
+                                              padding).shape)
+
+        def loss():
+            out = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride, padding)
+            return float((out.data * proj).sum())
+
+        gx, gw, gb = conv2d_backward(Tensor(x), Tensor(w), Tensor(proj), stride, padding)
+        assert_allclose(gx.data, _num_grad(loss, x), rtol=1e-6, atol=1e-8)
+        assert_allclose(gw.data, _num_grad(loss, w), rtol=1e-6, atol=1e-8)
+        assert_allclose(gb.data, _num_grad(loss, b), rtol=1e-6, atol=1e-8)

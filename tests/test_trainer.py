@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from maskprune.config import ExperimentConfig
 from maskprune.data import synthetic_dataset
-from maskprune.errors import ConfigError
+from maskprune.errors import ConfigError, NumericalError
 from maskprune.influence import (
     ChannelScorer,
     InfluenceMap,
@@ -304,3 +304,27 @@ class TestPipelineSmall:
         other = make_trainer(quick_config(tmp_path, model="lenet"))
         with pytest.raises(ConfigError):
             other.load(path)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("until,stage", [(None, "baseline"),
+                                             ("measure", "prune:conv1")])
+    def test_nan_weight_stops_before_any_update(self, tmp_path, until, stage):
+        cfg = quick_config(tmp_path, rate=0.25)
+        trainer = make_trainer(cfg)
+        if until:
+            trainer.run(until=until)
+        epoch = trainer.global_epoch
+        # a hidden conv, so the NaN has to pass ReLU and max-pool to be seen
+        trainer.model.blocks[1].conv.weight.data[0, 0, 0, 0] = np.nan
+        before = {k: v.copy() for k, v in trainer.model.state_arrays().items()}
+        with pytest.raises(NumericalError) as err:
+            trainer.run()
+        assert f"stage {stage}, epoch {epoch}, step 0" in str(err.value)
+        after = trainer.model.state_arrays()
+        for k, v in before.items():
+            # gates take the soft keep vector before the forward pass; the
+            # accumulators and running statistics are not weights
+            if not k.endswith(("gate", "mask_grad", "mask_samples", "running_mean",
+                               "running_var")):
+                assert_allclose(after[k], v, rtol=0, atol=0, equal_nan=True)
