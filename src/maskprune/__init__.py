@@ -25,7 +25,6 @@ from .influence import (
     capture_influence,
     channel_influence,
     ema_merge,
-    micro_conv_score,
     scaled_sigmoid,
 )
 from .metrics import RunReport, count_flops, emit_report
@@ -76,7 +75,6 @@ __all__ = [
     "has_converged",
     "lambda_value",
     "load_checkpoint",
-    "micro_conv_score",
     "parse_config",
     "run_pipeline",
     "save_checkpoint",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .rng import TAG_DATA, TAG_SHUFFLE, augment_stream, keyed_rng
@@ -214,16 +215,32 @@ def cifar10_dataset(paths, name: str = "cifar10") -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _augment(img: np.ndarray, rng: np.random.Generator, crop_pad: int, flip: bool) -> np.ndarray:
-    if crop_pad > 0:
-        c, h, w = img.shape
-        padded = np.pad(img, ((0, 0), (crop_pad, crop_pad), (crop_pad, crop_pad)))
-        oy = int(rng.integers(0, 2 * crop_pad + 1))
-        ox = int(rng.integers(0, 2 * crop_pad + 1))
-        img = padded[:, oy:oy + h, ox:ox + w]
-    if flip and rng.integers(0, 2) == 1:
-        img = img[:, :, ::-1]
-    return img
+def _augment(imgs: np.ndarray, idx: np.ndarray, seed: int, epoch: int, crop_pad: int,
+             flip: bool) -> np.ndarray:
+    """Random crop from a zero-padded copy and optional horizontal flip, for a
+    whole batch at once.
+
+    Each image's offsets ``oy``, ``ox`` and flip bit are drawn, in that order,
+    from its own ``augment_stream(seed, epoch, index)``, so the result does
+    not depend on which batch the image lands in.
+    """
+    n, _, h, w = imgs.shape
+    offsets = np.zeros((n, 2), dtype=np.intp)
+    flips = np.zeros(n, dtype=bool)
+    for k, i in enumerate(idx):
+        rng = augment_stream(seed, epoch, int(i))
+        if crop_pad > 0:
+            offsets[k, 0] = rng.integers(0, 2 * crop_pad + 1)
+            offsets[k, 1] = rng.integers(0, 2 * crop_pad + 1)
+        if flip:
+            flips[k] = rng.integers(0, 2) == 1
+    p = crop_pad
+    padded = np.pad(imgs, ((0, 0), (0, 0), (p, p), (p, p)))
+    # [N, C, 2p+1, 2p+1, H, W] view of every crop; one gather takes each image's own
+    windows = sliding_window_view(padded, (h, w), axis=(2, 3))
+    out = windows[np.arange(n), :, offsets[:, 0], offsets[:, 1]]
+    out[flips] = out[flips, :, :, ::-1]
+    return out
 
 
 def batches(ds: Dataset, batch_size: int, epoch: int, seed: int, train: bool,
@@ -248,8 +265,5 @@ def batches(ds: Dataset, batch_size: int, epoch: int, seed: int, train: bool,
         idx = order[b * batch_size:(b + 1) * batch_size]
         imgs = ds.images[idx]
         if train and (crop_pad > 0 or flip):
-            imgs = np.stack([
-                _augment(img, augment_stream(seed, epoch, int(i)), crop_pad, flip)
-                for img, i in zip(imgs, idx)
-            ])
+            imgs = _augment(imgs, idx, seed, epoch, crop_pad, flip)
         yield normalize(imgs, ds.mean, ds.std), ds.labels[idx]

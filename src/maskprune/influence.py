@@ -158,10 +158,6 @@ class ChannelScorer:
         yield self.bias, None
 
 
-def micro_conv_score(scorer: ChannelScorer, map_values: np.ndarray) -> np.ndarray:
-    return scorer.score(map_values)
-
-
 def scaled_sigmoid(sharpness: float, scores: np.ndarray, center: float) -> np.ndarray:
     """Soft keep probabilities: 1 / (1 + exp(-sharpness * (s - center))).
 

@@ -42,6 +42,10 @@ class Parameter:
 
 
 def _apply_channel_gate(out: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """Scale each channel of ``out`` by its gate.  An all-open gate returns
+    ``out`` itself: ``x * 1.0 == x`` exactly, so that pass would be dead work."""
+    if (gate == 1.0).all():
+        return out
     if out.ndim == 4:
         return out * gate[None, :, None, None]
     return out * gate[None, :]
@@ -100,7 +104,10 @@ class MaskedConv2d:
         self._cache = (x, w_eff, cols, pre_gate)
         return Tensor(out)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad: bool = True):
+        """Fill the weight, bias and mask gradients (and the gate gradient when
+        the layer applies its gate); return the gradient w.r.t. the input, or
+        None with ``input_grad=False``."""
         if self._cache is None:
             raise ShapeError("backward called before forward")
         g = _as_array(grad_out)
@@ -109,7 +116,7 @@ class MaskedConv2d:
             self.gate_grad = _gate_grad(g, pre_gate)
             g = _apply_channel_gate(g, self.gate)
         grad_x, grad_w_eff, grad_b = conv2d_backward(x, w_eff, g, self.stride, self.padding,
-                                                     cols=cols)
+                                                     cols=cols, input_grad=input_grad)
         # Gradient w.r.t. the mask entry m is grad_(m*w) * w; w.r.t. the
         # weight it is grad_(m*w) * m (the mask is all ones, but the two
         # expressions are kept distinct on purpose).
@@ -169,7 +176,7 @@ class MaskedLinear:
         self._cache = (x, w_eff, pre_gate)
         return Tensor(out)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad: bool = True):
         if self._cache is None:
             raise ShapeError("backward called before forward")
         g = _as_array(grad_out)
@@ -182,7 +189,7 @@ class MaskedLinear:
         self.mask_samples += x.shape[0]
         self.weight.grad = grad_w_eff * self.mask
         self.bias.grad = g.sum(axis=0)
-        return Tensor(g @ w_eff)
+        return Tensor(g @ w_eff) if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         frozen = self.gate < delta_freeze if delta_freeze > 0 else None
@@ -283,13 +290,18 @@ class ReLU:
         return Tensor(np.maximum(x, 0.0))
 
     def backward(self, grad_out):
-        g = _as_array(grad_out)
-        return Tensor(np.where(self._mask, g, 0.0))
+        return Tensor(_as_array(grad_out) * self._mask)
 
 
 class MaxPool2d:
     """Non-overlapping max pooling (kernel == stride); trailing rows/columns
-    that do not fill a window are dropped."""
+    that do not fill a window are dropped.
+
+    The forward keeps a running ``np.maximum`` over the k*k strided tap views
+    and, per window, the index of the first tap holding the maximum (strict
+    ``>``), so the backward routes each gradient to exactly one input.  Both
+    directions use arithmetic on that index rather than masked selects.
+    """
 
     def __init__(self, kernel: int = 2):
         self.kernel = int(kernel)
@@ -311,13 +323,17 @@ class MaxPool2d:
             raise ShapeError(f"maxpool window {self.kernel} larger than input {h}x{w}")
         taps = self._taps(ho, wo)
         out = x[taps[0]].copy()
-        idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
+        tap = np.arange(len(taps), dtype=np.min_scalar_type(len(taps) - 1))
+        idx = np.zeros(out.shape, dtype=tap.dtype)
         better = np.empty(out.shape, dtype=bool)
-        # running maximum; strict ">" keeps the first maximum in each window
+        step = np.empty_like(idx)
         for t, view in enumerate(taps[1:], 1):
             np.greater(x[view], out, out=better)
             np.maximum(out, x[view], out=out)
-            np.copyto(idx, t, where=better)
+            # idx < t here, so max(idx, better * t) moves idx to t exactly
+            # where tap t beats the running maximum
+            np.multiply(better, tap[t], out=step)
+            np.maximum(idx, step, out=idx)
         self._cache = (x.shape, idx)
         return Tensor(out)
 
@@ -326,7 +342,7 @@ class MaxPool2d:
         shape, idx = self._cache
         gx = np.zeros(shape, dtype=g.dtype)
         for t, view in enumerate(self._taps(*idx.shape[2:])):
-            np.copyto(gx[view], g, where=idx == t)
+            np.multiply(g, idx == t, out=gx[view])
         return Tensor(gx)
 
 

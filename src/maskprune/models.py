@@ -108,7 +108,13 @@ class PlainBatchNorm:
 
 
 class ConvBlock:
-    """conv -> [bn] -> gate -> [relu] -> [maxpool]"""
+    """conv -> [bn] -> gate -> [maxpool] -> [relu]
+
+    ReLU is monotone, so ``relu(maxpool(z)) == maxpool(relu(z))`` exactly, and
+    the backward routes every gradient to the same input in either order (a
+    window whose maximum is <= 0 passes none).  Pooling first lets the ReLU
+    forward, backward and stored mask work on a tensor k*k times smaller.
+    """
 
     def __init__(self, name: str, conv: MaskedConv2d, bn: BatchNorm2d | None = None,
                  relu: bool = True, pool: int | None = None, prunable: bool = True):
@@ -129,22 +135,23 @@ class ConvBlock:
             z = self.bn.forward(z, train, update_stats=update_stats, update_mask=mask).data
         self._pre_gate = z
         z = _apply_channel_gate(z, self.conv.gate)
-        if self.relu is not None:
-            z = self.relu.forward(z, train).data
         if self.pool is not None:
             z = self.pool.forward(z, train).data
+        if self.relu is not None:
+            z = self.relu.forward(z, train).data
         return z
 
-    def backward(self, g):
-        if self.pool is not None:
-            g = self.pool.backward(g).data
+    def backward(self, g, input_grad: bool = True):
         if self.relu is not None:
             g = self.relu.backward(g).data
+        if self.pool is not None:
+            g = self.pool.backward(g).data
         self.conv.gate_grad = _gate_grad(g, self._pre_gate)
         g = _apply_channel_gate(g, self.conv.gate)
         if self.bn is not None:
             g = self.bn.backward(g).data
-        return self.conv.backward(g).data
+        gx = self.conv.backward(g, input_grad)
+        return gx.data if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         yield from self.conv.param_groups(delta_freeze)
@@ -193,12 +200,13 @@ class LinearBlock:
             z = self.relu.forward(z, train).data
         return z
 
-    def backward(self, g):
+    def backward(self, g, input_grad: bool = True):
         if self.relu is not None:
             g = self.relu.backward(g).data
         self.linear.gate_grad = _gate_grad(g, self._pre_gate)
         g = _apply_channel_gate(g, self.linear.gate)
-        return self.linear.backward(g).data
+        gx = self.linear.backward(g, input_grad)
+        return gx.data if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         yield from self.linear.param_groups(delta_freeze)
@@ -253,7 +261,7 @@ class ResidualBlock:
             identity = x if isinstance(x, np.ndarray) else _as_array(x)
         return self.relu2.forward(z + identity, train).data
 
-    def backward(self, g):
+    def backward(self, g, input_grad: bool = True):
         g = self.relu2.backward(g).data
         gm = self.bn2.backward(g).data
         gm = self.conv2.backward(gm).data
@@ -261,13 +269,13 @@ class ResidualBlock:
         self.conv1.gate_grad = _gate_grad(gm, self._pre_gate)
         gm = _apply_channel_gate(gm, self.conv1.gate)
         gm = self.bn1.backward(gm).data
-        gm = self.conv1.backward(gm).data
+        gx = self.conv1.backward(gm, input_grad)
+        gs = g
         if self.ds_conv is not None:
-            gs = self.ds_bn.backward(g).data
-            gs = self.ds_conv.backward(gs).data
-        else:
-            gs = g
-        return gm + gs
+            gs = self.ds_conv.backward(self.ds_bn.backward(g).data, input_grad)
+        if not input_grad:
+            return None
+        return gx.data + _as_array(gs)
 
     def param_groups(self, delta_freeze: float = 0.0):
         yield from self.conv1.param_groups(delta_freeze)
@@ -315,8 +323,8 @@ class PoolBlock:
     def forward(self, x, train: bool = True, update_stats: bool = True):
         return self.gap.forward(x, train).data
 
-    def backward(self, g):
-        return self.gap.backward(g).data
+    def backward(self, g, input_grad: bool = True):
+        return self.gap.backward(g).data if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         return iter(())
@@ -337,8 +345,8 @@ class FlattenBlock:
     def forward(self, x, train: bool = True, update_stats: bool = True):
         return self.flatten.forward(x, train).data
 
-    def backward(self, g):
-        return self.flatten.backward(g).data
+    def backward(self, g, input_grad: bool = True):
+        return self.flatten.backward(g).data if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         return iter(())
@@ -370,10 +378,10 @@ class PlainConvBlock:
         z = self.conv.forward(x)
         if self.bn is not None:
             z = self.bn.forward(z)
-        if self.relu:
-            z = np.maximum(z, 0.0)
         if self.pool is not None:
             z = self.pool.forward(z).data
+        if self.relu:
+            z = np.maximum(z, 0.0)
         return z
 
     def out_shape(self, in_shape):
@@ -452,11 +460,15 @@ class Model:
             z = block.forward(z, train=train, update_stats=update_stats)
         return z
 
-    def backward(self, grad_logits) -> np.ndarray:
+    def backward(self, grad_logits) -> None:
+        """Backpropagate ``grad_logits`` through every block, filling the
+        parameter gradients and each masked layer's ``mask_grad`` and
+        ``gate_grad``.  Nothing reads the gradient w.r.t. the images, so the
+        first block skips it and this returns None."""
         g = _as_array(grad_logits)
+        first = self.blocks[0]
         for block in reversed(self.blocks):
-            g = block.backward(g)
-        return g
+            g = block.backward(g, input_grad=block is not first)
 
     def param_groups(self, delta_freeze: float = 0.0):
         for block in self.blocks:

@@ -211,12 +211,15 @@ def conv2d_forward(x, w, bias=None, stride: int = 1, padding: int = 0, return_ca
     return result
 
 
-def conv2d_backward(x, w, grad_out, stride: int = 1, padding: int = 0, cols: np.ndarray | None = None):
+def conv2d_backward(x, w, grad_out, stride: int = 1, padding: int = 0,
+                    cols: np.ndarray | None = None, input_grad: bool = True):
     """Gradients of a conv2d_forward call.
 
     Returns ``(grad_x, grad_w, grad_bias)`` for upstream gradient
     ``grad_out`` of shape [N,Cout,Ho,Wo].  ``cols`` may be the cache returned
-    by the forward call.
+    by the forward call.  With ``input_grad=False`` the ``Wᵀ @ g2`` GEMM and
+    the ``col2im`` scatter are skipped and ``grad_x`` is None (for a network's
+    first layer, whose input gradient nothing reads).
     """
     x, w, g = _as_array(x), _as_array(w), _as_array(grad_out)
     ho, wo = _check_conv_args(x, w, stride, padding)
@@ -232,6 +235,8 @@ def conv2d_backward(x, w, grad_out, stride: int = 1, padding: int = 0, cols: np.
     g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
     grad_w = (g2 @ cols.T).reshape(cout, cin, kh, kw)
     grad_bias = g2.sum(axis=1)
+    if not input_grad:
+        return None, Tensor(grad_w), Tensor(grad_bias)
     grad_cols = w.reshape(cout, -1).T @ g2
     grad_x = col2im(grad_cols, x.shape, kh, kw, stride, padding)
     return Tensor(grad_x), Tensor(grad_w), Tensor(grad_bias)

@@ -30,6 +30,7 @@ from .config import ExperimentConfig, write_effective_config
 from .data import Dataset, batches, cifar10_dataset, mnist_dataset, synthetic_dataset
 from .errors import ConfigError, ConvergenceError, NumericalError, ShapeError
 from .influence import (
+    BINARY_CUTOFF,
     ChannelScorer,
     InfluenceMap,
     StrategyState,
@@ -37,7 +38,6 @@ from .influence import (
     capture_influence,
     channel_influence,
     ema_merge,
-    micro_conv_score,
     scaled_sigmoid,
     scorer_gradients,
 )
@@ -54,6 +54,14 @@ from .pruning import (
 )
 
 log = logging.getLogger("maskprune")
+
+#: config fields that define a run: a checkpoint resumes only under a config
+#: that agrees on every one of them (``out_dir`` and ``log_every`` may differ,
+#: so a run can resume into a new directory)
+RUN_FIELDS = ("model", "dataset", "train_images", "train_labels", "test_images",
+              "test_labels", "train_files", "test_files", "synthetic_train",
+              "synthetic_test", "train_limit", "test_limit", "classes", "batch_size",
+              "crop_pad", "flip", "rate", "seed")
 
 
 @dataclass
@@ -105,22 +113,29 @@ def anchor_center(scores: np.ndarray, target: np.ndarray, sharpness: float,
     return float(0.5 * (order[k - 1] + order[k]))
 
 
+def score_strategy(scorer: ChannelScorer, state: StrategyState, sharpness: float,
+                   map_in: np.ndarray, cutoff: float = BINARY_CUTOFF) -> None:
+    """Set ``state.soft`` to the scorer's keep probabilities at ``sharpness``
+    and ``state.hard`` to their binary pattern."""
+    state.soft = scaled_sigmoid(sharpness, scorer.score(map_in), state.center)
+    state.hard = binarize(state.soft, cutoff)
+
+
 def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: SharpnessSchedule,
                   map_in: np.ndarray, extra_grad_soft: np.ndarray | None = None,
-                  lr: float = 0.05, momentum: float = 0.9, weight_scale: float = 5.0,
-                  cutoff: float = 1e-6) -> tuple[float, float]:
+                  lr: float = 0.05, momentum: float = 0.9,
+                  weight_scale: float = 5.0) -> tuple[float, float]:
     """One refinement step of a layer's keep strategy.
 
-    Recomputes scores and soft/hard keep vectors, weights the strategy loss,
-    folds in any gradient arriving from the classification path
-    (``extra_grad_soft``), updates the scorer, and advances the anneal.
-    Returns ``(strategy_weight, strategy_loss)``.
+    ``state.soft`` and ``state.hard`` must hold the keep vectors at the
+    schedule's current sharpness, as :func:`score_strategy` leaves them (a
+    training step scores once, before its forward pass, and the step reuses
+    that).  Weights the strategy loss, folds in any gradient arriving from the
+    classification path (``extra_grad_soft``), updates the scorer, and
+    advances the anneal.  Returns ``(strategy_weight, strategy_loss)``.
     """
     sharp = schedule.value()
-    scores = micro_conv_score(scorer, map_in)
-    soft = scaled_sigmoid(sharp, scores, state.center)
-    state.soft = soft
-    state.hard = binarize(soft, cutoff)
+    soft = state.soft
     weight = lambda_value(int(state.target.sum()), state.kept, state.target.size,
                           scale=weight_scale)
     grad_soft = 2.0 * weight * (soft - state.target)
@@ -244,10 +259,8 @@ class Trainer:
             state = self.strategies[active]
             layer = self.prunable[active].layer
             schedule = self._schedule
-            sharp = schedule.value()
-            scores = micro_conv_score(self.scorers[active], self._map_in)
-            state.soft = scaled_sigmoid(sharp, scores, state.center)
-            state.hard = binarize(state.soft, cfg.binary_cutoff)
+            score_strategy(self.scorers[active], state, schedule.value(), self._map_in,
+                           cfg.binary_cutoff)
             layer.gate[:] = state.soft
         logits = self.model.forward(x, train=True)
         loss_cls, grad = softmax_cross_entropy(logits, y)
@@ -260,9 +273,7 @@ class Trainer:
             weight, s_loss = strategy_step(
                 self.scorers[active], state, schedule, self._map_in,
                 extra_grad_soft=layer.gate_grad, lr=self._scorer_lr,
-                momentum=cfg.scorer_momentum, weight_scale=cfg.strategy_weight_scale,
-                cutoff=cfg.binary_cutoff)
-            layer.gate[:] = state.soft
+                momentum=cfg.scorer_momentum, weight_scale=cfg.strategy_weight_scale)
         else:
             weight, s_loss = 0.0, 0.0
         sgd_step(self.model, lr, cfg.momentum, cfg.weight_decay, cfg.delta_freeze)
@@ -378,7 +389,7 @@ class Trainer:
         self._map_in = map_in
         self._scorer_lr = cfg.scorer_lr
 
-        scores = micro_conv_score(scorer, map_in)
+        scores = scorer.score(map_in)
         state.center = anchor_center(scores, state.target, self._schedule.value(),
                                      cfg.delta_bin)
         state.soft = scaled_sigmoid(self._schedule.value(), scores, state.center)
@@ -408,7 +419,7 @@ class Trainer:
                         converged = True
                         break
                     state.center = anchor_center(
-                        micro_conv_score(scorer, self._map_in), state.target,
+                        scorer.score(self._map_in), state.target,
                         self._schedule.value(), cfg.delta_bin)
             self.global_epoch += 1
             if converged:
@@ -426,7 +437,7 @@ class Trainer:
                 self._refresh_target(name)
             if epoch_i >= cfg.prune_epochs:
                 self._scorer_lr *= 0.5
-            state.center = anchor_center(micro_conv_score(scorer, self._map_in),
+            state.center = anchor_center(scorer.score(self._map_in),
                                          state.target, self._schedule.value(),
                                          cfg.delta_bin)
             log.info("prune %s epoch %d: kept %d/%d, sharpness %.4g, strategy loss %.4g",
@@ -543,10 +554,11 @@ class Trainer:
     def load(self, path) -> None:
         meta, arrays = load_checkpoint(path)
         stored = ExperimentConfig.from_dict(meta["config"])
-        if stored.model != self.cfg.model:
-            raise ConfigError(
-                f"checkpoint was produced by a '{stored.model}' run, config asks for "
-                f"'{self.cfg.model}'")
+        diffs = [f"{f}: checkpoint {getattr(stored, f)!r}, config {getattr(self.cfg, f)!r}"
+                 for f in RUN_FIELDS if getattr(stored, f) != getattr(self.cfg, f)]
+        if diffs:
+            raise ConfigError(f"checkpoint {path} belongs to a different run ("
+                              + "; ".join(diffs) + ")")
         self.model.load_state_arrays(arrays)
         self.completed = list(meta["completed"])
         self.global_epoch = int(meta["global_epoch"])

@@ -19,7 +19,6 @@ from maskprune.influence import (
     StrategyState,
     binarize,
     capture_influence,
-    micro_conv_score,
 )
 from maskprune.layers import (
     BatchNorm2d,
@@ -43,6 +42,7 @@ from maskprune.trainer import (
     anchor_center,
     load_datasets,
     run_pipeline,
+    score_strategy,
     strategy_step,
 )
 from tests.test_layers import make_conv, make_linear, numgrad, rel_err
@@ -325,18 +325,19 @@ class TestC05PlantedStrategyConvergence:
             state = StrategyState(layer=f"planted{n}", soft=np.full(n, 0.5),
                                   hard=np.ones(n, dtype=np.int64), target=target,
                                   history_cap=3)
-            state.center = anchor_center(micro_conv_score(scorer, map_in), target,
+            state.center = anchor_center(scorer.score(map_in), target,
                                          schedule.value())
             monitor = StrategyMonitor(3, 0.01, 3, 1e-6)
             converged = False
             steps = 0
             for step in range(1, 1601):
+                score_strategy(scorer, state, schedule.value(), map_in)
                 strategy_step(scorer, state, schedule, map_in)
                 if step % 10 == 0:
                     if monitor.observe(state, schedule):
                         converged, steps = True, step
                         break
-                    state.center = anchor_center(micro_conv_score(scorer, map_in),
+                    state.center = anchor_center(scorer.score(map_in),
                                                  target, schedule.value())
             softness = float(np.minimum(state.soft, 1.0 - state.soft).max())
             assert converged, f"width {n}: no convergence in 1600 steps"

@@ -23,6 +23,7 @@ from maskprune.data import (
     write_idx,
 )
 from maskprune.errors import DataError
+from maskprune.rng import TAG_SHUFFLE, augment_stream, keyed_rng
 
 
 class TestSyntheticDigits:
@@ -201,6 +202,36 @@ class TestBatches:
         b = [x for x, _ in batches(ds, 8, 2, seed=1, train=True, crop_pad=2, flip=True)]
         for xa, xb in zip(a, b):
             assert_allclose(xa, xb, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("crop_pad", [0, 2, 4])
+    def test_augmentation_matches_per_image_reference(self, crop_pad, flip, channels):
+        rng = np.random.default_rng(channels)
+        ds = Dataset("t", rng.uniform(size=(24, channels, 7, 9)), rng.integers(0, 10, 24),
+                     np.full(channels, 0.5), np.full(channels, 0.25))
+
+        def reference(img, i):
+            # one keyed stream per image: oy, ox, then the flip bit
+            aug = augment_stream(4, 3, int(i))
+            if crop_pad > 0:
+                c, h, w = img.shape
+                padded = np.pad(img, ((0, 0), (crop_pad, crop_pad), (crop_pad, crop_pad)))
+                oy = int(aug.integers(0, 2 * crop_pad + 1))
+                ox = int(aug.integers(0, 2 * crop_pad + 1))
+                img = padded[:, oy:oy + h, ox:ox + w]
+            if flip and aug.integers(0, 2) == 1:
+                img = img[:, :, ::-1]
+            return img
+
+        order = keyed_rng(4, TAG_SHUFFLE | 3).permutation(24)
+        got = list(batches(ds, 8, 3, seed=4, train=True, crop_pad=crop_pad, flip=flip))
+        assert len(got) == 3
+        for b, (x, y) in enumerate(got):
+            idx = order[b * 8:(b + 1) * 8]
+            want = np.stack([reference(img, i) for img, i in zip(ds.images[idx], idx)])
+            assert np.array_equal(x, normalize(want, ds.mean, ds.std))
+            assert (y == ds.labels[idx]).all()
 
     def test_batches_are_normalized(self):
         ds = self._tiny(8)

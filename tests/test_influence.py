@@ -18,7 +18,6 @@ from maskprune.influence import (
     capture_influence,
     channel_influence,
     ema_merge,
-    micro_conv_score,
     scaled_sigmoid,
     scorer_gradients,
 )
@@ -220,12 +219,6 @@ class TestChannelScorer:
         dn = loss()
         sc.bias.data[0] = old
         assert_allclose(gb[0], (up - dn) / (2 * h), rtol=1e-6)
-
-    def test_micro_conv_score_alias(self):
-        rng = np.random.default_rng(13)
-        maps = rng.normal(size=(3, 1, 2, 2))
-        sc = ChannelScorer((1, 2, 2))
-        assert_allclose(micro_conv_score(sc, maps), sc.score(maps), rtol=0)
 
 
 class TestStrategyState:

@@ -18,6 +18,7 @@ from maskprune.layers import (
     MaskedLinear,
     MaxPool2d,
     ReLU,
+    _apply_channel_gate,
     sgd_step,
     softmax_cross_entropy,
 )
@@ -57,6 +58,35 @@ def numgrad(f, x, h=1e-5):
 def rel_err(a, b):
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return np.abs(a - b).max() / denom
+
+
+def reference_relu(x):
+    """ReLU with a masked-select backward (``np.where``): the kernel ReLU
+    replaced.  Returns the output and a backward function."""
+    mask = x > 0
+    return np.maximum(x, 0.0), lambda g: np.where(mask, g, 0.0)
+
+
+def reference_maxpool(x, k):
+    """Max pooling whose tap index and backward use masked copies
+    (``np.copyto(where=)``): the kernels MaxPool2d replaced.  Returns the
+    output and a backward function."""
+    ho, wo = x.shape[2] // k, x.shape[3] // k
+    taps = [np.s_[:, :, i:ho * k:k, j:wo * k:k] for i in range(k) for j in range(k)]
+    out = x[taps[0]].copy()
+    idx = np.zeros(out.shape, dtype=np.int64)
+    for t, view in enumerate(taps[1:], 1):
+        better = x[view] > out
+        np.maximum(out, x[view], out=out)
+        np.copyto(idx, t, where=better)
+
+    def backward(g):
+        gx = np.zeros(x.shape)
+        for t, view in enumerate(taps):
+            np.copyto(gx[view], g, where=idx == t)
+        return gx
+
+    return out, backward
 
 
 class TestMaskedConv2d:
@@ -160,6 +190,31 @@ class TestMaskedConv2d:
             return float((conv.forward(Tensor(x)).data * proj).sum())
 
         assert rel_err(got, numgrad(loss, conv.gate)) <= 1e-5
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (5, 3)])
+    def test_open_gate_returns_equal_values(self, shape):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=shape)
+        x.flat[0] = -0.0
+        gated = _apply_channel_gate(x, np.ones(3))
+        want = x * np.ones(3).reshape((1, 3) + (1,) * (x.ndim - 2))
+        assert np.array_equal(gated, want)
+        assert np.array_equal(np.signbit(gated), np.signbit(want))
+
+    def test_backward_without_input_gradient(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 2, 6, 6))
+        g = rng.normal(size=(2, 3, 6, 6))
+        full, skip = make_conv(2, 3, 3, padding=1, seed=3), make_conv(2, 3, 3, padding=1, seed=3)
+        for conv in (full, skip):
+            conv.apply_gate = True
+            conv.gate[:] = [0.5, 1.0, 0.0]
+            conv.forward(Tensor(x))
+        assert full.backward(Tensor(g)) is not None
+        assert skip.backward(Tensor(g), input_grad=False) is None
+        for a, b in ((full.weight.grad, skip.weight.grad), (full.bias.grad, skip.bias.grad),
+                     (full.mask_grad, skip.mask_grad), (full.gate_grad, skip.gate_grad)):
+            assert np.array_equal(a, b)
 
     def test_eval_forward_keeps_no_columns_and_backward_matches_train_path(self):
         rng = np.random.default_rng(35)
@@ -339,6 +394,29 @@ class TestPoolingAndActivation:
         want[0, 1, 2, 2] = 0.0
         want[0, 1, 2, 3] = g[0, 1, 1, 1]
         assert_allclose(gx, want, rtol=0, atol=0)
+
+    def test_relu_matches_masked_select_reference(self):
+        rng = np.random.default_rng(62)
+        # exact zeros and negatives sit on the kink the reference selects at
+        x = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(3, 4, 5, 5))
+        g = rng.normal(size=x.shape)
+        relu = ReLU()
+        want, backward = reference_relu(x)
+        assert np.array_equal(relu.forward(Tensor(x)).data, want)
+        assert np.array_equal(relu.backward(Tensor(g)).data, backward(g))
+
+    @pytest.mark.parametrize("shape,k", [((2, 3, 6, 6), 2), ((2, 3, 7, 5), 2),
+                                         ((1, 2, 9, 10), 3)])
+    def test_maxpool_matches_masked_select_reference(self, shape, k):
+        rng = np.random.default_rng(64)
+        # few distinct values: all-negative windows, exact-zero and positive ties
+        x = rng.integers(-2, 3, size=shape).astype(float)
+        pool = MaxPool2d(k)
+        out = pool.forward(Tensor(x)).data
+        want, backward = reference_maxpool(x, k)
+        assert np.array_equal(out, want)
+        g = rng.normal(size=out.shape)
+        assert np.array_equal(pool.backward(Tensor(g)).data, backward(g))
 
     def test_relu_passes_nan_forward(self):
         out = ReLU().forward(Tensor(np.array([[-1.0, np.nan, 2.0]])))

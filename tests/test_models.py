@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from maskprune.errors import ShapeError
 from maskprune.influence import StrategyState
+from maskprune.layers import BatchNorm2d, MaskedConv2d
 from maskprune.models import ConvBlock, Model, PoolBlock, ResidualBlock, build_model
 from maskprune.pruning import compact
+from tests.test_layers import reference_maxpool, reference_relu
 
 
 def frozen_strategies(model, keep: dict[str, np.ndarray]):
@@ -185,6 +187,103 @@ def mini_resnet(seed=0):
                      relu=False, prunable=False)
     return Model("resnet-mini", [stem, block1, block2, PoolBlock("gap"), fc],
                  (3, 16, 16), 10)
+
+
+def pooled_block(case, seed=0):
+    """A ConvBlock with ReLU and 2x2 max-pool, plus an input, for one of the
+    window patterns the pool-before-ReLU order must reproduce exactly."""
+    rng = np.random.default_rng(seed)
+    shape = (3, 4, 7, 5) if case == "odd-7x5" else (3, 4, 6, 6)
+    if case in ("all-negative", "zero-ties", "positive-ties"):
+        # identity 1x1 conv, no batch norm: the pool sees these values as given
+        conv = MaskedConv2d(np.eye(4)[:, :, None, None], np.zeros(4), 1, 0)
+        bn = None
+        values = {"all-negative": [-3.0, -1.0, -0.5],
+                  "zero-ties": [-1.0, 0.0, 0.0, 0.0, 0.5],
+                  "positive-ties": [-1.0, 0.0, 2.0, 2.0, 2.0, 1.0]}[case]
+        x = rng.choice(values, size=shape)
+    else:
+        conv = MaskedConv2d(rng.normal(scale=0.4, size=(4, 4, 3, 3)),
+                            rng.normal(scale=0.1, size=4), 1, 1)
+        bn = BatchNorm2d(4)
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, 4)
+        bn.beta.data[:] = rng.normal(scale=0.3, size=4)
+        x = rng.normal(size=shape)
+    block = ConvBlock("c", conv, bn, relu=True, pool=2)
+    gates = {"soft-gates": rng.uniform(0.05, 1.0, 4), "zero-gates": [1.0, 0.0, 0.4, 0.0],
+             "odd-7x5": rng.uniform(0.05, 1.0, 4), "zero-ties": [0.5, 1.0, 1.0, 0.25]}
+    block.conv.gate[:] = gates.get(case, 1.0)
+    return block, x
+
+
+def reference_block_pass(block, x, g):
+    """conv -> bn -> gate -> relu -> max-pool and back, through the
+    masked-select ReLU and pool kernels the block no longer uses."""
+    conv, bn, gate = block.conv, block.bn, block.conv.gate[None, :, None, None]
+    z = conv.forward(x).data
+    if bn is not None:
+        z = bn.forward(z, update_mask=conv.gate >= block.delta_freeze).data
+    relu_out, relu_back = reference_relu(z * gate)
+    out, pool_back = reference_maxpool(relu_out, 2)
+    gz = relu_back(pool_back(g))
+    conv.gate_grad = (gz * z).sum(axis=(0, 2, 3))
+    gz = gz * gate
+    if bn is not None:
+        gz = bn.backward(gz).data
+    return out, conv.backward(gz).data
+
+
+class TestPooledConvBlock:
+    @pytest.mark.parametrize("case", ["all-negative", "zero-ties", "positive-ties",
+                                      "soft-gates", "zero-gates", "odd-7x5"])
+    def test_pool_before_relu_matches_reference(self, case):
+        block, x = pooled_block(case)
+        ref, _ = pooled_block(case)
+        out = block.forward(x)
+        g = np.random.default_rng(1).normal(size=out.shape)
+        gx = block.backward(g)
+        want_out, want_gx = reference_block_pass(ref, x, g)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(gx, want_gx)
+        grads = [(block.conv.weight.grad, ref.conv.weight.grad),
+                 (block.conv.bias.grad, ref.conv.bias.grad),
+                 (block.conv.mask_grad, ref.conv.mask_grad),
+                 (block.conv.gate_grad, ref.conv.gate_grad)]
+        if block.bn is not None:
+            grads += [(block.bn.gamma.grad, ref.bn.gamma.grad),
+                      (block.bn.beta.grad, ref.bn.beta.grad)]
+        for got, want in grads:
+            assert np.array_equal(got, want)
+        if case == "all-negative":
+            assert not gx.any()
+
+
+class TestModelBackward:
+    @pytest.mark.parametrize("build", [
+        lambda: build_model("tiny-cnn", 1, 12, 10, seed=2),
+        lambda: build_model("lenet", 1, 28, 10, seed=2),
+        lambda: mini_resnet(seed=2),
+    ], ids=["tiny-cnn", "lenet", "resnet-mini"])
+    def test_skipping_the_input_gradient_keeps_every_parameter_gradient(self, build):
+        models = [build(), build()]
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, *models[0].input_shape))
+        g = rng.normal(size=(4, 10))
+        for m in models:
+            for ref in m.prunable():
+                ref.layer.gate[:] = np.linspace(0.0, 1.0, ref.layer.out_channels)
+            m.forward(x, train=True)
+        skipped, full = models
+        assert skipped.backward(g) is None
+        gx = g
+        for block in reversed(full.blocks):
+            gx = block.backward(gx)
+        assert gx.shape == x.shape
+        for (pa, _), (pb, _) in zip(skipped.param_groups(), full.param_groups()):
+            assert np.array_equal(pa.grad, pb.grad)
+        for ra, rb in zip(skipped.prunable(), full.prunable()):
+            assert np.array_equal(ra.layer.mask_grad, rb.layer.mask_grad)
+            assert np.array_equal(ra.layer.gate_grad, rb.layer.gate_grad)
 
 
 class TestResidualBlocks:

@@ -12,7 +12,6 @@ from maskprune.influence import (
     InfluenceMap,
     StrategyState,
     binarize,
-    micro_conv_score,
     scaled_sigmoid,
 )
 from maskprune.models import build_model
@@ -23,6 +22,7 @@ from maskprune.trainer import (
     Trainer,
     anchor_center,
     run_pipeline,
+    score_strategy,
     strategy_step,
 )
 
@@ -95,8 +95,9 @@ class TestStrategyStep:
         # gradient the scorer must not move at all
         vals, scorer, state = planted_setup()
         schedule = SharpnessSchedule(0.5, 50.0, 100)
-        state.center = anchor_center(micro_conv_score(scorer, vals), state.target, 0.5)
+        state.center = anchor_center(scorer.score(vals), state.target, 0.5)
         k0 = scorer.kernel.data.copy()
+        score_strategy(scorer, state, schedule.value(), vals)
         weight, loss = strategy_step(scorer, state, schedule, vals)
         assert weight == 0.0
         assert loss >= 0.0
@@ -109,8 +110,9 @@ class TestStrategyStep:
         # penalty gradient reaches the kernel
         vals, scorer, state = planted_setup()
         schedule = SharpnessSchedule(5.0, 50.0, 100)
-        state.center = float(micro_conv_score(scorer, vals).max()) + 5.0
+        state.center = float(scorer.score(vals).max()) + 5.0
         k0 = scorer.kernel.data.copy()
+        score_strategy(scorer, state, schedule.value(), vals)
         weight, _ = strategy_step(scorer, state, schedule, vals)
         assert state.kept == 0
         assert weight == lambda_value(int(state.target.sum()), 0, state.target.size)
@@ -124,8 +126,9 @@ class TestStrategyStep:
         done = False
         for step in range(400):
             if step % 10 == 0:
-                state.center = anchor_center(micro_conv_score(scorer, vals),
+                state.center = anchor_center(scorer.score(vals),
                                              state.target, schedule.value())
+            score_strategy(scorer, state, schedule.value(), vals)
             strategy_step(scorer, state, schedule, vals)
             if step % 10 == 9 and monitor.observe(state, schedule):
                 done = True
@@ -140,6 +143,8 @@ class TestStrategyStep:
         sched_a = SharpnessSchedule(1.0, 10.0, 50)
         sched_b = SharpnessSchedule(1.0, 10.0, 50)
         push = np.full(10, 0.3)
+        score_strategy(scorer_a, state_a, sched_a.value(), vals)
+        score_strategy(scorer_b, state_b, sched_b.value(), vals)
         strategy_step(scorer_a, state_a, sched_a, vals)
         strategy_step(scorer_b, state_b, sched_b, vals, extra_grad_soft=push)
         assert not np.allclose(scorer_a.kernel.data, scorer_b.kernel.data)
@@ -304,6 +309,30 @@ class TestPipelineSmall:
         other = make_trainer(quick_config(tmp_path, model="lenet"))
         with pytest.raises(ConfigError):
             other.load(path)
+
+    @pytest.mark.parametrize("field,value,shown", [
+        ("rate", 0.25, "rate: checkpoint 0.0, config 0.25"),
+        ("seed", 4, "seed: checkpoint 3, config 4"),
+    ], ids=["rate", "seed"])
+    def test_load_rejects_a_different_run(self, tmp_path, field, value, shown):
+        trainer = make_trainer(quick_config(tmp_path))
+        trainer.run(until="baseline")
+        path = trainer.save(tmp_path / "mid.ckpt")
+        other = make_trainer(quick_config(tmp_path, **{field: value}, batch_size=16))
+        with pytest.raises(ConfigError) as err:
+            other.load(path)
+        assert shown in str(err.value)
+        assert "batch_size: checkpoint 32, config 16" in str(err.value)
+        assert other.completed == [] and other.global_epoch == 0
+
+    def test_load_accepts_a_new_out_dir(self, tmp_path):
+        trainer = make_trainer(quick_config(tmp_path))
+        trainer.run(until="baseline")
+        path = trainer.save(tmp_path / "mid.ckpt")
+        other = make_trainer(quick_config(tmp_path, out_dir=str(tmp_path / "elsewhere"),
+                                          log_every=7))
+        other.load(path)
+        assert other.completed == ["baseline"]
 
 
 class TestNonFiniteGuard:
