@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .rng import TAG_DATA, TAG_SHUFFLE, augment_stream, keyed_rng
+from .rng import TAG_DATA, TAG_SHUFFLE, augment_word, keyed_rng, rekey
 
 CIFAR10_MEAN = np.array([0.4914, 0.4822, 0.4465])
 CIFAR10_STD = np.array([0.2470, 0.2435, 0.2616])
@@ -222,13 +222,15 @@ def _augment(imgs: np.ndarray, idx: np.ndarray, seed: int, epoch: int, crop_pad:
 
     Each image's offsets ``oy``, ``ox`` and flip bit are drawn, in that order,
     from its own ``augment_stream(seed, epoch, index)``, so the result does
-    not depend on which batch the image lands in.
+    not depend on which batch the image lands in.  One generator is re-keyed
+    per image rather than built anew.
     """
     n, _, h, w = imgs.shape
     offsets = np.zeros((n, 2), dtype=np.intp)
     flips = np.zeros(n, dtype=bool)
+    rng = keyed_rng(seed, 0)
     for k, i in enumerate(idx):
-        rng = augment_stream(seed, epoch, int(i))
+        rekey(rng, seed, augment_word(epoch, int(i)))
         if crop_pad > 0:
             offsets[k, 0] = rng.integers(0, 2 * crop_pad + 1)
             offsets[k, 1] = rng.integers(0, 2 * crop_pad + 1)

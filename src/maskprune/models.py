@@ -27,6 +27,7 @@ from .layers import (
     MaskedConv2d,
     MaskedLinear,
     MaxPool2d,
+    Parameter,
     ReLU,
     _apply_channel_gate,
     _gate_grad,
@@ -534,8 +535,9 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace the model state with ``arrays``; every array is checked
-        for presence and shape before anything is assigned."""
+        """Copy ``arrays`` into the model's own arrays, in place; every array
+        is checked for presence and shape before anything is assigned.  The
+        mask is reset to all ones, and a velocity the state lacks is dropped."""
         shapes = {k: v.shape for k, v in self.state_arrays().items()
                   if not k.endswith(".velocity")}
         missing = set(shapes) - set(arrays)
@@ -547,25 +549,30 @@ class Model:
                     raise ShapeError(
                         f"state array {name} has shape {tuple(np.shape(arrays[name]))}, "
                         f"model expects {tuple(want)}")
+
+        def load_param(p: Parameter, key: str) -> None:
+            np.copyto(p.data, arrays[key])
+            velocity = arrays.get(f"{key}.velocity")
+            if velocity is None:
+                p.velocity = None
+            elif p.velocity is None:
+                p.velocity = np.array(velocity, dtype=np.float64)
+            else:
+                np.copyto(p.velocity, velocity)
+
         for name, layer in self._named_layers():
             if isinstance(layer, (MaskedConv2d, MaskedLinear)):
-                layer.weight.data = arrays[f"{name}.weight"].copy()
-                layer.bias.data = arrays[f"{name}.bias"].copy()
-                layer.gate = arrays[f"{name}.gate"].copy()
-                layer.mask_grad = arrays[f"{name}.mask_grad"].copy()
+                load_param(layer.weight, f"{name}.weight")
+                load_param(layer.bias, f"{name}.bias")
+                np.copyto(layer.gate, arrays[f"{name}.gate"])
+                np.copyto(layer.mask_grad, arrays[f"{name}.mask_grad"])
                 layer.mask_samples = int(arrays[f"{name}.mask_samples"])
-                layer.mask = np.ones_like(layer.weight.data)
-                for pname, p in (("weight", layer.weight), ("bias", layer.bias)):
-                    key = f"{name}.{pname}.velocity"
-                    p.velocity = arrays[key].copy() if key in arrays else None
+                layer.mask.fill(1.0)
             elif isinstance(layer, BatchNorm2d):
-                layer.gamma.data = arrays[f"{name}.gamma"].copy()
-                layer.beta.data = arrays[f"{name}.beta"].copy()
-                layer.running_mean = arrays[f"{name}.running_mean"].copy()
-                layer.running_var = arrays[f"{name}.running_var"].copy()
-                for pname, p in (("gamma", layer.gamma), ("beta", layer.beta)):
-                    key = f"{name}.{pname}.velocity"
-                    p.velocity = arrays[key].copy() if key in arrays else None
+                load_param(layer.gamma, f"{name}.gamma")
+                load_param(layer.beta, f"{name}.beta")
+                np.copyto(layer.running_mean, arrays[f"{name}.running_mean"])
+                np.copyto(layer.running_var, arrays[f"{name}.running_var"])
 
     # -- compaction ---------------------------------------------------------
 

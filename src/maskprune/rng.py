@@ -25,5 +25,24 @@ def keyed_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def rekey(rng: np.random.Generator, seed: int, stream: int) -> None:
+    """Put the Philox generator ``rng`` in the exact state of a fresh
+    ``keyed_rng(seed, stream)`` (the key, a zero counter, an empty buffer),
+    which is about twice as fast as building a new generator."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def augment_word(epoch: int, index: int) -> int:
+    return TAG_AUGMENT | ((epoch & ((1 << 28) - 1)) << 28) | (index & ((1 << 28) - 1))
+
+
 def augment_stream(seed: int, epoch: int, index: int) -> np.random.Generator:
-    return keyed_rng(seed, TAG_AUGMENT | ((epoch & ((1 << 28) - 1)) << 28) | (index & ((1 << 28) - 1)))
+    return keyed_rng(seed, augment_word(epoch, index))

@@ -51,6 +51,21 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_inconsistent_array_with_valid_digest_is_runtime_failure(self, tmp_path, capsys):
+        import hashlib
+
+        from maskprune.checkpoint import save_checkpoint
+
+        cfg = write_quick_config(tmp_path)
+        ckpt = save_checkpoint(tmp_path / "bent.ckpt", {}, {"w": np.zeros((4, 3))})
+        raw = ckpt.read_bytes()
+        # the first shape word (4) follows name length, name and dtype/ndim
+        at = len(b"MPRNCKPT") + 4 + 8 + len(b"{}") + 4 + 2 + 1 + 2
+        body = raw[:at] + (5).to_bytes(8, "little") + raw[at + 8:-32]
+        ckpt.write_bytes(body + hashlib.sha256(body).digest())
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
 
     def test_nan_loss_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
         import maskprune.cli as cli

@@ -23,7 +23,7 @@ from maskprune.data import (
     write_idx,
 )
 from maskprune.errors import DataError
-from maskprune.rng import TAG_SHUFFLE, augment_stream, keyed_rng
+from maskprune.rng import TAG_SHUFFLE, augment_stream, augment_word, keyed_rng, rekey
 
 
 class TestSyntheticDigits:
@@ -195,6 +195,17 @@ class TestBatches:
         assert not (a == c).all()
         # a shuffle is a permutation, not a resample
         assert sorted(a.tolist()) == sorted(ds.labels.tolist())
+
+    def test_rekeyed_generator_matches_a_fresh_stream(self):
+        rng = keyed_rng(0, 0)
+        for i in range(500):
+            # a 32-bit draw leaves a half-used word behind; rekey must drop it
+            rng.integers(0, 3, dtype=np.uint32)
+            fresh = augment_stream(7, 2, i)
+            rekey(rng, 7, augment_word(2, i))
+            assert rng.integers(0, 9, size=3).tolist() == fresh.integers(0, 9, size=3).tolist()
+            assert rng.integers(0, 2, dtype=np.uint32) == fresh.integers(0, 2, dtype=np.uint32)
+            assert rng.normal() == fresh.normal()
 
     def test_augmentation_deterministic(self):
         ds = self._tiny(16)

@@ -109,6 +109,57 @@ class TestStateRoundTrip:
             assert_allclose(v, before[k], rtol=0, atol=0)
 
 
+    @staticmethod
+    def live_arrays(m):
+        """The arrays a model owns (``state_arrays`` builds ``mask_samples``
+        afresh) plus every mask."""
+        out = {k: v for k, v in m.state_arrays().items() if not k.endswith("mask_samples")}
+        out.update({f"{n}.mask": layer.mask for n, layer in m._named_layers()
+                    if hasattr(layer, "mask")})
+        return out
+
+    def test_loads_in_place_into_independent_arrays(self):
+        m = build_model("tiny-cnn", 1, 28, 10, seed=0)
+        src = build_model("tiny-cnn", 1, 28, 10, seed=1)
+        src.forward(np.random.default_rng(0).normal(size=(2, 1, 28, 28)), train=True)
+        before = self.live_arrays(m)
+        state = src.state_arrays()
+        m.load_state_arrays(state)
+        after = self.live_arrays(m)
+        assert sorted(after) == sorted(before)
+        for k in before:
+            assert after[k] is before[k], k
+            assert not any(np.shares_memory(after[k], v) for v in state.values()), k
+        for k, v in state.items():
+            assert_allclose(m.state_arrays()[k], v, rtol=0, atol=0)
+
+    def test_mask_is_reset_to_ones(self):
+        m = build_model("tiny-cnn", 1, 28, 10, seed=0)
+        state = {k: v.copy() for k, v in m.state_arrays().items()}
+        conv = m.blocks[1].conv
+        conv.mask[0] = 0.0
+        m.load_state_arrays(state)
+        assert (conv.mask == 1.0).all()
+
+    def test_velocity_follows_the_state(self):
+        m = build_model("tiny-cnn", 1, 28, 10, seed=0)
+        plain = {k: v.copy() for k, v in m.state_arrays().items()}
+        with_velocity = dict(plain)
+        with_velocity["conv2.conv.weight.velocity"] = np.full_like(plain["conv2.conv.weight"],
+                                                                   0.5)
+        weight = m.blocks[1].conv.weight
+        assert weight.velocity is None
+        m.load_state_arrays(with_velocity)
+        assert (weight.velocity == 0.5).all()
+        assert not np.shares_memory(weight.velocity, with_velocity["conv2.conv.weight.velocity"])
+        held = weight.velocity
+        with_velocity["conv2.conv.weight.velocity"] = np.full_like(held, -2.0)
+        m.load_state_arrays(with_velocity)
+        assert weight.velocity is held and (held == -2.0).all()
+        m.load_state_arrays(plain)
+        assert weight.velocity is None
+
+
 class TestCompaction:
     def _exercise(self, model, x):
         model.forward(x, train=True)      # populate running stats + shapes
