@@ -34,11 +34,9 @@ from .pruning import (
     SharpnessSchedule,
     build_plan,
     compact,
-    global_threshold,
     has_converged,
     lambda_value,
     strategy_loss,
-    target_vector,
 )
 from .trainer import Trainer, run_pipeline
 
@@ -71,7 +69,6 @@ __all__ = [
     "count_flops",
     "ema_merge",
     "emit_report",
-    "global_threshold",
     "has_converged",
     "lambda_value",
     "load_checkpoint",
@@ -80,5 +77,4 @@ __all__ = [
     "save_checkpoint",
     "scaled_sigmoid",
     "strategy_loss",
-    "target_vector",
 ]

@@ -15,7 +15,12 @@ plain conv/linear layer:
   afterwards) and scale the channel's activations; a gate below
   ``delta_freeze`` also freezes the channel's weights and its batch-norm
   statistics ("false pruning": the channel stays in memory but stops
-  participating).
+  participating).  The layer only stores the gate and its gradient
+  ``gate_grad``: the block that owns the layer applies the gate after its
+  batch norm and fills ``gate_grad`` (see :mod:`maskprune.models`).
+
+Every ``forward``/``backward`` here takes any array-like and returns a
+C-contiguous float64 ndarray.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .tensor import Tensor, _as_array, conv2d_backward, conv2d_forward
+from .tensor import _as_array, conv2d_backward, conv2d_forward
 
 
 class Parameter:
@@ -61,8 +66,7 @@ class MaskedConv2d:
 
     kind = "conv"
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, stride: int = 1, padding: int = 0,
-                 apply_gate: bool = True):
+    def __init__(self, weight: np.ndarray, bias: np.ndarray, stride: int = 1, padding: int = 0):
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 4:
             raise ShapeError(f"conv weight must be OIHW, got rank {weight.ndim}")
@@ -75,9 +79,6 @@ class MaskedConv2d:
         self.mask_samples = 0
         self.gate = np.ones(weight.shape[0], dtype=np.float64)
         self.gate_grad = np.zeros(weight.shape[0], dtype=np.float64)
-        # Blocks that place the gate after a following batch-norm set this to
-        # False and apply the gate themselves.
-        self.apply_gate = apply_gate
         self._cache = None
 
     @property
@@ -92,38 +93,30 @@ class MaskedConv2d:
         x = _as_array(x)
         w_eff = self.mask * self.weight.data
         if train:
-            out_t, cols = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding,
-                                         return_cache=True)
+            out, cols = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding,
+                                       return_cache=True)
         else:  # keep no Cin*Kh*Kw-times-input columns; backward recomputes them
-            out_t = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding)
+            out = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding)
             cols = None
-        out = out_t.data
-        pre_gate = out if self.apply_gate else None
-        if self.apply_gate:
-            out = _apply_channel_gate(out, self.gate)
-        self._cache = (x, w_eff, cols, pre_gate)
-        return Tensor(out)
+        self._cache = (x, w_eff, cols)
+        return out
 
     def backward(self, grad_out, input_grad: bool = True):
-        """Fill the weight, bias and mask gradients (and the gate gradient when
-        the layer applies its gate); return the gradient w.r.t. the input, or
-        None with ``input_grad=False``."""
+        """Fill the weight, bias and mask gradients; return the gradient w.r.t.
+        the input, or None with ``input_grad=False``."""
         if self._cache is None:
             raise ShapeError("backward called before forward")
-        g = _as_array(grad_out)
-        x, w_eff, cols, pre_gate = self._cache
-        if self.apply_gate:
-            self.gate_grad = _gate_grad(g, pre_gate)
-            g = _apply_channel_gate(g, self.gate)
-        grad_x, grad_w_eff, grad_b = conv2d_backward(x, w_eff, g, self.stride, self.padding,
-                                                     cols=cols, input_grad=input_grad)
+        x, w_eff, cols = self._cache
+        grad_x, grad_w_eff, grad_b = conv2d_backward(x, w_eff, grad_out, self.stride,
+                                                     self.padding, cols=cols,
+                                                     input_grad=input_grad)
         # Gradient w.r.t. the mask entry m is grad_(m*w) * w; w.r.t. the
         # weight it is grad_(m*w) * m (the mask is all ones, but the two
         # expressions are kept distinct on purpose).
-        self.mask_grad += grad_w_eff.data * self.weight.data
+        self.mask_grad += grad_w_eff * self.weight.data
         self.mask_samples += x.shape[0]
-        self.weight.grad = grad_w_eff.data * self.mask
-        self.bias.grad = grad_b.data
+        self.weight.grad = grad_w_eff * self.mask
+        self.bias.grad = grad_b
         return grad_x
 
     def param_groups(self, delta_freeze: float = 0.0):
@@ -140,7 +133,7 @@ class MaskedLinear:
 
     kind = "fc"
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, apply_gate: bool = True):
+    def __init__(self, weight: np.ndarray, bias: np.ndarray):
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2:
             raise ShapeError(f"linear weight must be [out, in], got rank {weight.ndim}")
@@ -151,7 +144,6 @@ class MaskedLinear:
         self.mask_samples = 0
         self.gate = np.ones(weight.shape[0], dtype=np.float64)
         self.gate_grad = np.zeros(weight.shape[0], dtype=np.float64)
-        self.apply_gate = apply_gate
         self._cache = None
 
     @property
@@ -169,27 +161,20 @@ class MaskedLinear:
                 f"linear expects [N, {self.in_channels}] input, got {tuple(x.shape)}"
             )
         w_eff = self.mask * self.weight.data
-        out = x @ w_eff.T + self.bias.data
-        pre_gate = out if self.apply_gate else None
-        if self.apply_gate:
-            out = _apply_channel_gate(out, self.gate)
-        self._cache = (x, w_eff, pre_gate)
-        return Tensor(out)
+        self._cache = (x, w_eff)
+        return x @ w_eff.T + self.bias.data
 
     def backward(self, grad_out, input_grad: bool = True):
         if self._cache is None:
             raise ShapeError("backward called before forward")
         g = _as_array(grad_out)
-        x, w_eff, pre_gate = self._cache
-        if self.apply_gate:
-            self.gate_grad = _gate_grad(g, pre_gate)
-            g = _apply_channel_gate(g, self.gate)
+        x, w_eff = self._cache
         grad_w_eff = g.T @ x
         self.mask_grad += grad_w_eff * self.weight.data
         self.mask_samples += x.shape[0]
         self.weight.grad = grad_w_eff * self.mask
         self.bias.grad = g.sum(axis=0)
-        return Tensor(g @ w_eff) if input_grad else None
+        return g @ w_eff if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         frozen = self.gate < delta_freeze if delta_freeze > 0 else None
@@ -251,7 +236,7 @@ class BatchNorm2d:
         out = x_hat * self.gamma.data[None, :, None, None]
         out += self.beta.data[None, :, None, None]
         self._cache = (x_hat, inv_std, train)
-        return Tensor(out)
+        return out
 
     def backward(self, grad_out):
         if self._cache is None:
@@ -265,13 +250,13 @@ class BatchNorm2d:
         self.beta.grad = g.sum(axis=(0, 2, 3))
         scale = (self.gamma.data * inv_std)[None, :, None, None]
         if not train:
-            return Tensor(g * scale)
+            return g * scale
         # dx = gamma * inv_std * (g - sum(g)/m - x_hat * sum(g * x_hat)/m), per channel
         np.multiply(x_hat, (self.gamma.grad / -m)[None, :, None, None], out=gx)
         gx += g
         gx -= (self.beta.grad / m)[None, :, None, None]
         gx *= scale
-        return Tensor(gx)
+        return gx
 
     def param_groups(self, delta_freeze: float = 0.0):
         yield self.gamma, None
@@ -287,10 +272,10 @@ class ReLU:
         self._mask = x > 0
         # np.maximum propagates NaN, so a bad weight upstream still reaches
         # the trainer's loss check
-        return Tensor(np.maximum(x, 0.0))
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
-        return Tensor(_as_array(grad_out) * self._mask)
+        return _as_array(grad_out) * self._mask
 
 
 class MaxPool2d:
@@ -335,7 +320,7 @@ class MaxPool2d:
             np.multiply(better, tap[t], out=step)
             np.maximum(idx, step, out=idx)
         self._cache = (x.shape, idx)
-        return Tensor(out)
+        return out
 
     def backward(self, grad_out):
         g = _as_array(grad_out)
@@ -343,7 +328,7 @@ class MaxPool2d:
         gx = np.zeros(shape, dtype=g.dtype)
         for t, view in enumerate(self._taps(*idx.shape[2:])):
             np.multiply(g, idx == t, out=gx[view])
-        return Tensor(gx)
+        return gx
 
 
 class GlobalAvgPool:
@@ -355,12 +340,12 @@ class GlobalAvgPool:
     def forward(self, x, train: bool = True):
         x = _as_array(x)
         self._in_shape = x.shape
-        return Tensor(x.mean(axis=(2, 3)))
+        return x.mean(axis=(2, 3))
 
     def backward(self, grad_out):
         g = _as_array(grad_out)
         n, c, h, w = self._in_shape
-        return Tensor(np.broadcast_to(g[:, :, None, None] / (h * w), self._in_shape).copy())
+        return np.broadcast_to(g[:, :, None, None] / (h * w), self._in_shape).copy()
 
 
 class Flatten:
@@ -372,11 +357,11 @@ class Flatten:
     def forward(self, x, train: bool = True):
         x = _as_array(x)
         self.last_in_shape = x.shape
-        return Tensor(x.reshape(x.shape[0], -1))
+        return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
         g = _as_array(grad_out)
-        return Tensor(g.reshape(self.last_in_shape))
+        return g.reshape(self.last_in_shape)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -403,7 +388,7 @@ def softmax_cross_entropy(logits, labels):
     grad = exp / total
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return loss, Tensor(grad)
+    return loss, grad
 
 
 def sgd_step(module, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4,

@@ -33,7 +33,7 @@ from .layers import (
     _gate_grad,
 )
 from .rng import TAG_INIT, keyed_rng
-from .tensor import Tensor, _as_array, conv_output_hw
+from .tensor import _as_array, conv2d_forward, conv_output_hw
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -69,9 +69,7 @@ class PlainConv2d:
         return self.weight.shape[0]
 
     def forward(self, x):
-        from .tensor import conv2d_forward
-
-        return conv2d_forward(x, self.weight, self.bias, self.stride, self.padding).data
+        return conv2d_forward(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class PlainLinear:
@@ -121,7 +119,6 @@ class ConvBlock:
                  relu: bool = True, pool: int | None = None, prunable: bool = True):
         self.name = name
         self.conv = conv
-        self.conv.apply_gate = False  # the block applies the gate post-bn
         self.bn = bn
         self.relu = ReLU() if relu else None
         self.pool = MaxPool2d(pool) if pool else None
@@ -130,29 +127,28 @@ class ConvBlock:
         self._pre_gate = None
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
-        z = self.conv.forward(x, train).data
+        z = self.conv.forward(x, train)
         if self.bn is not None:
             mask = self.conv.gate >= self.delta_freeze if train and update_stats else None
-            z = self.bn.forward(z, train, update_stats=update_stats, update_mask=mask).data
+            z = self.bn.forward(z, train, update_stats=update_stats, update_mask=mask)
         self._pre_gate = z
         z = _apply_channel_gate(z, self.conv.gate)
         if self.pool is not None:
-            z = self.pool.forward(z, train).data
+            z = self.pool.forward(z, train)
         if self.relu is not None:
-            z = self.relu.forward(z, train).data
+            z = self.relu.forward(z, train)
         return z
 
     def backward(self, g, input_grad: bool = True):
         if self.relu is not None:
-            g = self.relu.backward(g).data
+            g = self.relu.backward(g)
         if self.pool is not None:
-            g = self.pool.backward(g).data
+            g = self.pool.backward(g)
         self.conv.gate_grad = _gate_grad(g, self._pre_gate)
         g = _apply_channel_gate(g, self.conv.gate)
         if self.bn is not None:
-            g = self.bn.backward(g).data
-        gx = self.conv.backward(g, input_grad)
-        return gx.data if input_grad else None
+            g = self.bn.backward(g)
+        return self.conv.backward(g, input_grad)
 
     def param_groups(self, delta_freeze: float = 0.0):
         yield from self.conv.param_groups(delta_freeze)
@@ -187,27 +183,25 @@ class LinearBlock:
                  prunable: bool = False):
         self.name = name
         self.linear = linear
-        self.linear.apply_gate = False
         self.relu = ReLU() if relu else None
         self.prunable = prunable
         self.delta_freeze = 1e-3
         self._pre_gate = None
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
-        z = self.linear.forward(x, train).data
+        z = self.linear.forward(x, train)
         self._pre_gate = z
         z = _apply_channel_gate(z, self.linear.gate)
         if self.relu is not None:
-            z = self.relu.forward(z, train).data
+            z = self.relu.forward(z, train)
         return z
 
     def backward(self, g, input_grad: bool = True):
         if self.relu is not None:
-            g = self.relu.backward(g).data
+            g = self.relu.backward(g)
         self.linear.gate_grad = _gate_grad(g, self._pre_gate)
         g = _apply_channel_gate(g, self.linear.gate)
-        gx = self.linear.backward(g, input_grad)
-        return gx.data if input_grad else None
+        return self.linear.backward(g, input_grad)
 
     def param_groups(self, delta_freeze: float = 0.0):
         yield from self.linear.param_groups(delta_freeze)
@@ -233,9 +227,6 @@ class ResidualBlock:
         self.conv1, self.bn1 = conv1, bn1
         self.conv2, self.bn2 = conv2, bn2
         self.ds_conv, self.ds_bn = ds_conv, ds_bn
-        for c in (conv1, conv2, ds_conv):
-            if c is not None:
-                c.apply_gate = False
         self.relu1 = ReLU()
         self.relu2 = ReLU()
         self.prunable = True
@@ -247,36 +238,36 @@ class ResidualBlock:
         return f"{self.name}.conv1"
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
-        z = self.conv1.forward(x, train).data
+        z = self.conv1.forward(x, train)
         mask = self.conv1.gate >= self.delta_freeze if train and update_stats else None
-        z = self.bn1.forward(z, train, update_stats=update_stats, update_mask=mask).data
+        z = self.bn1.forward(z, train, update_stats=update_stats, update_mask=mask)
         self._pre_gate = z
         z = _apply_channel_gate(z, self.conv1.gate)
-        z = self.relu1.forward(z, train).data
-        z = self.conv2.forward(z, train).data
-        z = self.bn2.forward(z, train, update_stats=update_stats).data
+        z = self.relu1.forward(z, train)
+        z = self.conv2.forward(z, train)
+        z = self.bn2.forward(z, train, update_stats=update_stats)
         if self.ds_conv is not None:
-            identity = self.ds_conv.forward(x, train).data
-            identity = self.ds_bn.forward(identity, train, update_stats=update_stats).data
+            identity = self.ds_conv.forward(x, train)
+            identity = self.ds_bn.forward(identity, train, update_stats=update_stats)
         else:
-            identity = x if isinstance(x, np.ndarray) else _as_array(x)
-        return self.relu2.forward(z + identity, train).data
+            identity = x
+        return self.relu2.forward(z + identity, train)
 
     def backward(self, g, input_grad: bool = True):
-        g = self.relu2.backward(g).data
-        gm = self.bn2.backward(g).data
-        gm = self.conv2.backward(gm).data
-        gm = self.relu1.backward(gm).data
+        g = self.relu2.backward(g)
+        gm = self.bn2.backward(g)
+        gm = self.conv2.backward(gm)
+        gm = self.relu1.backward(gm)
         self.conv1.gate_grad = _gate_grad(gm, self._pre_gate)
         gm = _apply_channel_gate(gm, self.conv1.gate)
-        gm = self.bn1.backward(gm).data
+        gm = self.bn1.backward(gm)
         gx = self.conv1.backward(gm, input_grad)
         gs = g
         if self.ds_conv is not None:
-            gs = self.ds_conv.backward(self.ds_bn.backward(g).data, input_grad)
+            gs = self.ds_conv.backward(self.ds_bn.backward(g), input_grad)
         if not input_grad:
             return None
-        return gx.data + _as_array(gs)
+        return gx + gs
 
     def param_groups(self, delta_freeze: float = 0.0):
         yield from self.conv1.param_groups(delta_freeze)
@@ -322,10 +313,10 @@ class PoolBlock:
         self.gap = GlobalAvgPool()
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
-        return self.gap.forward(x, train).data
+        return self.gap.forward(x, train)
 
     def backward(self, g, input_grad: bool = True):
-        return self.gap.backward(g).data if input_grad else None
+        return self.gap.backward(g) if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         return iter(())
@@ -344,10 +335,10 @@ class FlattenBlock:
         self.flatten = Flatten()
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
-        return self.flatten.forward(x, train).data
+        return self.flatten.forward(x, train)
 
     def backward(self, g, input_grad: bool = True):
-        return self.flatten.backward(g).data if input_grad else None
+        return self.flatten.backward(g) if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         return iter(())
@@ -380,7 +371,7 @@ class PlainConvBlock:
         if self.bn is not None:
             z = self.bn.forward(z)
         if self.pool is not None:
-            z = self.pool.forward(z).data
+            z = self.pool.forward(z)
         if self.relu:
             z = np.maximum(z, 0.0)
         return z

@@ -59,41 +59,15 @@ def _marked_order(influences: dict[str, np.ndarray]):
     return entries
 
 
-def global_threshold(influences: dict[str, np.ndarray], rate: float) -> float:
-    """Influence value of the last channel marked for removal.
-
-    With ``rate == 0`` returns ``-inf`` (nothing is marked).  Equality with
-    the threshold does not by itself decide a channel's fate — tied channels
-    are taken in deterministic (layer, channel) order until the count
-    ``ceil(rate * N)`` is reached — so callers needing the exact marked set
-    should use :func:`build_plan`.
-    """
-    _check_rate(rate)
-    entries = _marked_order(influences)
-    if not entries:
-        raise ShapeError("global threshold of an empty influence set")
-    n_mark = math.ceil(rate * len(entries))
-    if n_mark == 0:
-        return float("-inf")
-    return entries[n_mark - 1][0]
-
-
-def target_vector(influence: np.ndarray, threshold: float, rate: float) -> np.ndarray:
-    """Per-layer keep target: 1 where the channel's influence clears the
-    threshold, with a collapse guard.
-
-    If every channel falls at or under the threshold the layer would vanish;
-    instead its top ``max(1, ceil(0.2 * (1 - rate) * width))`` channels by
-    influence are kept.
-    """
-    _check_rate(rate)
+def _collapse_guard(influence: np.ndarray, rate: float) -> np.ndarray:
+    """Keep vector for a layer with every channel marked: its top
+    ``max(1, ceil(0.2 * (1 - rate) * width))`` channels by influence."""
     influence = np.asarray(influence, dtype=np.float64)
-    keep = (influence > threshold).astype(np.int64)
-    if keep.sum() == 0:
-        n_keep = max(1, math.ceil(COLLAPSE_GUARD_FRACTION * (1.0 - rate) * influence.size))
-        # stable top-k: larger influence first, earlier index wins ties
-        order = np.lexsort((np.arange(influence.size), -influence))
-        keep[order[:n_keep]] = 1
+    keep = np.zeros(influence.size, dtype=np.int64)
+    n_keep = max(1, math.ceil(COLLAPSE_GUARD_FRACTION * (1.0 - rate) * influence.size))
+    # stable top-k: larger influence first, earlier index wins ties
+    order = np.lexsort((np.arange(influence.size), -influence))
+    keep[order[:n_keep]] = 1
     return keep
 
 
@@ -111,7 +85,7 @@ def build_plan(influences: dict[str, np.ndarray], rate: float) -> CompressionPla
         targets[layer][ch] = 0
     for layer, vals in influences.items():
         if targets[layer].sum() == 0:
-            targets[layer] = target_vector(vals, float("inf"), rate)
+            targets[layer] = _collapse_guard(vals, rate)
     return CompressionPlan(rate, threshold, targets)
 
 

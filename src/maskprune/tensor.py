@@ -1,11 +1,12 @@
-"""Dense tensor substrate and the small set of array operations the rest of
-the toolkit is built on.
+"""Convolution kernels on plain numpy arrays.
 
-Everything is float64 row-major by default (float32 storage is accepted for
-activations but all verification paths run in float64).  Convolutions use the
-cross-correlation convention on NCHW activations with OIHW kernels; no
-dilation, grouping, or graph-level autodiff lives here — layers call the
-explicit backward functions themselves.
+Inputs and outputs are C-contiguous float64 ndarrays: ``_as_array`` converts
+whatever arrives at an entry point, float32 included, to a C-contiguous
+float64 array (an array that already is one passes through uncopied), so
+every path computes in float64.  Convolutions use the cross-correlation
+convention on NCHW activations with OIHW kernels; no dilation, grouping, or
+graph-level autodiff lives here — layers call the explicit backward functions
+themselves.
 
 Convolutions unroll their input channel-major (Chellapilla et al. 2006; Caffe):
 ``im2col`` builds a ``[Cin*Kh*Kw, N*Ho*Wo]`` column matrix, the forward pass is
@@ -18,96 +19,13 @@ matrix itself is never transposed.  That layout is the contract between
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import ShapeError
 
-Axes = Sequence[int]
-
-
-class Tensor:
-    """A shape-checked wrapper over a contiguous numpy array.
-
-    The wrapper is deliberately thin: `.data` exposes the underlying ndarray
-    and most internal code works on arrays directly.  The class exists so the
-    public operations have a single place to validate dtype/contiguity and to
-    offer an explicit finiteness check.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data, dtype=np.float64, require_finite: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=dtype))
-        self.data = arr
-        if require_finite:
-            self.check_finite()
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.data.shape)
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
-    def check_finite(self) -> "Tensor":
-        if not np.isfinite(self.data).all():
-            raise ShapeError("tensor contains non-finite entries (NaN or Inf)")
-        return self
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
-
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
-def hadamard(a, b) -> Tensor:
-    """Elementwise product of two identically shaped tensors."""
-    a, b = _as_array(a), _as_array(b)
-    if a.shape != b.shape:
-        raise ShapeError(
-            f"hadamard requires identical shapes, got {tuple(a.shape)} and {tuple(b.shape)}"
-        )
-    return Tensor(a * b)
-
-
-def matmul(a, b) -> Tensor:
-    """Standard matrix product of a [n, k] by a [k, m] operand."""
-    a, b = _as_array(a), _as_array(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(
-            f"matmul expects rank-2 operands, got ranks {a.ndim} and {b.ndim}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {tuple(a.shape)} x {tuple(b.shape)}"
-        )
-    return Tensor(a @ b)
-
-
-def reduce_sum(a, axes: Axes) -> Tensor:
-    """Sum over the listed axes (each in range, no repeats)."""
-    a = _as_array(a)
-    axes = list(axes)
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"reduce_sum axes contain repeats: {axes}")
-    for ax in axes:
-        if not (0 <= ax < a.ndim):
-            raise ShapeError(f"reduce_sum axis {ax} out of range for rank {a.ndim}")
-    return Tensor(a.sum(axis=tuple(sorted(axes))))
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) -> tuple[int, int]:
@@ -184,7 +102,8 @@ def col2im(
             j_end = j + stride * wo
             xp_cm[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, i, j]
     if padding > 0:
-        return xp[:, :, padding : padding + h, padding : padding + w]
+        # a contiguous copy of the interior, so callers never hold a view of xp
+        return np.ascontiguousarray(xp[:, :, padding : padding + h, padding : padding + w])
     return xp
 
 
@@ -205,7 +124,7 @@ def conv2d_forward(x, w, bias=None, stride: int = 1, padding: int = 0, return_ca
         if b.shape != (cout,):
             raise ShapeError(f"conv2d bias must have shape ({cout},), got {tuple(b.shape)}")
         out += b[:, None]
-    result = Tensor(out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
+    result = np.ascontiguousarray(out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
     if return_cache:
         return result, cols
     return result
@@ -236,7 +155,7 @@ def conv2d_backward(x, w, grad_out, stride: int = 1, padding: int = 0,
     grad_w = (g2 @ cols.T).reshape(cout, cin, kh, kw)
     grad_bias = g2.sum(axis=1)
     if not input_grad:
-        return None, Tensor(grad_w), Tensor(grad_bias)
+        return None, grad_w, grad_bias
     grad_cols = w.reshape(cout, -1).T @ g2
     grad_x = col2im(grad_cols, x.shape, kh, kw, stride, padding)
-    return Tensor(grad_x), Tensor(grad_w), Tensor(grad_bias)
+    return grad_x, grad_w, grad_bias

@@ -268,7 +268,7 @@ class Trainer:
             raise NumericalError(
                 f"non-finite loss {loss_cls} in stage {self.stage or '(none)'}, epoch "
                 f"{self.global_epoch}, step {step}; no update was applied")
-        self.model.backward(grad.data)
+        self.model.backward(grad)
         if active is not None:
             weight, s_loss = strategy_step(
                 self.scorers[active], state, schedule, self._map_in,
@@ -317,7 +317,7 @@ class Trainer:
         for x, y in self._train_batches(self.global_epoch):
             logits = self.model.forward(x, train=True, update_stats=False)
             _, grad = softmax_cross_entropy(logits, y)
-            self.model.backward(grad.data)
+            self.model.backward(grad)
         self.global_epoch += 1
         influences = {}
         for name, ref in self.prunable.items():

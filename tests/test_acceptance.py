@@ -114,7 +114,7 @@ class TestC01InfluenceAccumulator:
                 else:
                     x = rng.standard_normal((n, layer.in_channels))
                 out = layer.forward(x)
-                layer.backward(rng.standard_normal(out.data.shape))
+                layer.backward(rng.standard_normal(out.shape))
                 manual += layer.weight.grad * layer.weight.data
                 samples += n
             worst = max(worst, float(np.max(np.abs(manual - layer.mask_grad))))
@@ -134,9 +134,9 @@ class TestC01InfluenceAccumulator:
             idx = tuple(int(idx_rng.integers(0, s)) for s in conv.mask.shape)
             h = 1e-5
             conv.mask[idx] += h
-            up = float((conv.forward(x).data * proj).sum())
+            up = float((conv.forward(x) * proj).sum())
             conv.mask[idx] -= 2 * h
-            dn = float((conv.forward(x).data * proj).sum())
+            dn = float((conv.forward(x) * proj).sum())
             conv.mask[idx] += h
             fd = (up - dn) / (2 * h)
             fd_worst = max(fd_worst, rel_err(np.asarray(fd),
@@ -168,7 +168,7 @@ class TestC02FirstOrderFidelity:
                                                        update_stats=False), y)
 
         loss0, grad = probe_loss()
-        model.backward(grad.data)
+        model.backward(grad)
         slopes = {}
         for name, ref in trainer.prunable.items():
             m = capture_influence(ref.layer, name)
@@ -221,17 +221,14 @@ class TestC03GradientOracles:
         rng = np.random.default_rng(33)
         results = []
 
-        def grad_data(g):
-            return g.data if hasattr(g, "data") else np.asarray(g)
-
         def check(label, module, x, tol=1e-5, params=(), **fw):
-            proj = rng.standard_normal(module.forward(x, **fw).data.shape)
+            proj = rng.standard_normal(module.forward(x, **fw).shape)
 
             def loss():
-                return float((module.forward(x, **fw).data * proj).sum())
+                return float((module.forward(x, **fw) * proj).sum())
 
             module.forward(x, **fw)
-            gx = grad_data(module.backward(proj))
+            gx = module.backward(proj)
             results.append((f"{label}/input", rel_err(gx, numgrad(loss, x)), tol))
             for pname in params:
                 p = getattr(module, pname)
@@ -267,7 +264,7 @@ class TestC03GradientOracles:
         labels = rng.integers(0, 7, size=5)
         _, g = softmax_cross_entropy(logits, labels)
         num = numgrad(lambda: softmax_cross_entropy(logits, labels)[0], logits)
-        results.append(("softmax-ce/logits", rel_err(g.data, num), 1e-5))
+        results.append(("softmax-ce/logits", rel_err(g, num), 1e-5))
 
         bad = [(lbl, err, tol) for lbl, err, tol in results if err > tol]
         n_instances = 12

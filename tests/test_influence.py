@@ -22,14 +22,13 @@ from maskprune.influence import (
     scorer_gradients,
 )
 from maskprune.layers import MaskedConv2d, MaskedLinear
-from maskprune.tensor import Tensor
+from maskprune.models import ConvBlock
 
 
 def make_conv(cin, cout, k, seed=0):
     rng = np.random.default_rng(seed)
     return MaskedConv2d(rng.normal(scale=0.3, size=(cout, cin, k, k)),
-                        rng.normal(scale=0.1, size=cout), stride=1, padding=1,
-                        apply_gate=False)
+                        rng.normal(scale=0.1, size=cout), stride=1, padding=1)
 
 
 class TestCapture:
@@ -37,8 +36,8 @@ class TestCapture:
         conv = make_conv(2, 3, 3, seed=1)
         rng = np.random.default_rng(2)
         for _ in range(2):
-            conv.forward(Tensor(rng.normal(size=(4, 2, 5, 5))))
-            conv.backward(Tensor(rng.normal(size=(4, 3, 5, 5))))
+            conv.forward(rng.normal(size=(4, 2, 5, 5)))
+            conv.backward(rng.normal(size=(4, 3, 5, 5)))
         raw = conv.mask_grad.copy()
         m = capture_influence(conv, "conv")
         assert m.layer == "conv" and m.samples == 8
@@ -52,16 +51,16 @@ class TestCapture:
 
     def test_degate_rescales_by_applied_gate(self):
         conv = make_conv(2, 4, 3, seed=3)
-        conv.apply_gate = True
+        block = ConvBlock("conv", conv, bn=None, relu=False)   # conv -> gate
         gates = np.array([1.0, 0.5, 0.25, 1e-9])
         conv.gate[:] = gates
         rng = np.random.default_rng(4)
         x, g = rng.normal(size=(2, 2, 4, 4)), rng.normal(size=(2, 4, 4, 4))
-        conv.forward(Tensor(x))
-        conv.backward(Tensor(g))
+        block.forward(x)
+        block.backward(g)
         raw = conv.mask_grad.copy()
-        conv.forward(Tensor(x))
-        conv.backward(Tensor(g))
+        block.forward(x)
+        block.backward(g)
         m = capture_influence(conv, "conv", degate=True, delta=1e-3)
         # channels with a healthy gate are divided by it; the one gated
         # below the floor is frozen anyway and stays as measured
@@ -74,14 +73,14 @@ class TestCapture:
         # the instrumentation sees the gated weights, so a half-open gate
         # halves the measured influence; degate undoes exactly that
         conv = make_conv(1, 2, 3, seed=5)
-        conv.apply_gate = True
+        block = ConvBlock("c", conv, bn=None, relu=False)      # conv -> gate
         rng = np.random.default_rng(6)
         x, g = rng.normal(size=(2, 1, 4, 4)), rng.normal(size=(2, 2, 4, 4))
         conv.gate[:] = 1.0
-        conv.forward(Tensor(x)); conv.backward(Tensor(g))
+        block.forward(x); block.backward(g)
         full = capture_influence(conv, "c").values
         conv.gate[:] = np.array([1.0, 0.5])
-        conv.forward(Tensor(x)); conv.backward(Tensor(g))
+        block.forward(x); block.backward(g)
         half = capture_influence(conv, "c").values
         assert_allclose(half[1], 0.5 * full[1], rtol=1e-12)
         assert_allclose(half[0], full[0], rtol=1e-12)

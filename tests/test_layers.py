@@ -22,21 +22,20 @@ from maskprune.layers import (
     sgd_step,
     softmax_cross_entropy,
 )
-from maskprune.tensor import Tensor
-
+from maskprune.models import ConvBlock
 
 
 def make_conv(cin, cout, k, stride=1, padding=0, seed=0):
     rng = np.random.default_rng(seed)
     w = rng.normal(scale=0.3, size=(cout, cin, k, k))
     b = rng.normal(scale=0.1, size=cout)
-    return MaskedConv2d(w, b, stride=stride, padding=padding, apply_gate=False)
+    return MaskedConv2d(w, b, stride=stride, padding=padding)
 
 
 def make_linear(nin, nout, seed=0):
     rng = np.random.default_rng(seed)
     return MaskedLinear(rng.normal(scale=0.3, size=(nout, nin)),
-                        rng.normal(scale=0.1, size=nout), apply_gate=False)
+                        rng.normal(scale=0.1, size=nout))
 
 
 def numgrad(f, x, h=1e-5):
@@ -94,12 +93,11 @@ class TestMaskedConv2d:
         rng = np.random.default_rng(0)
         conv = make_conv(3, 4, 3, stride=1, padding=1, seed=1)
         x = rng.normal(size=(2, 3, 6, 6))
-        out = conv.forward(Tensor(x))
+        out = conv.forward(x)
         # independent check through the free function
         from maskprune.tensor import conv2d_forward
-        want = conv2d_forward(Tensor(x), Tensor(conv.weight.data * conv.mask),
-                              Tensor(conv.bias.data), 1, 1)
-        assert_allclose(out.data, want.data, rtol=0, atol=0)
+        want = conv2d_forward(x, conv.weight.data * conv.mask, conv.bias.data, 1, 1)
+        assert_allclose(out, want, rtol=0, atol=0)
 
     def test_weight_and_input_gradients(self):
         rng = np.random.default_rng(5)
@@ -108,11 +106,11 @@ class TestMaskedConv2d:
         proj = rng.normal(size=(2, 3, 5, 5))
 
         def loss():
-            return float((conv.forward(Tensor(x.copy())).data * proj).sum())
+            return float((conv.forward(x.copy()) * proj).sum())
 
-        conv.forward(Tensor(x))
-        gx = conv.backward(Tensor(proj))
-        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-5
+        conv.forward(x)
+        gx = conv.backward(proj)
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-5
         assert rel_err(conv.weight.grad, numgrad(loss, conv.weight.data)) <= 1e-5
         assert rel_err(conv.bias.grad, numgrad(loss, conv.bias.data)) <= 1e-5
 
@@ -123,9 +121,9 @@ class TestMaskedConv2d:
         conv.weight.data[:] = 3.0
         conv.bias.data[:] = 0.0
         x = np.full((1, 1, 1, 1), 2.0)
-        out = conv.forward(Tensor(x))
-        assert out.data.reshape(()) == 6.0
-        conv.backward(Tensor(out.data.copy()))      # dloss/dy = y
+        out = conv.forward(x)
+        assert out.reshape(()) == 6.0
+        conv.backward(out.copy())  # dloss/dy = y
         assert_allclose(conv.mask_grad.reshape(()), 36.0, rtol=0, atol=0)
         assert conv.mask_samples == 1
 
@@ -134,8 +132,8 @@ class TestMaskedConv2d:
         conv = make_conv(3, 5, 3, stride=1, padding=1, seed=3)
         x = rng.normal(size=(4, 3, 6, 6))
         g = rng.normal(size=(4, 5, 6, 6))
-        conv.forward(Tensor(x))
-        conv.backward(Tensor(g))
+        conv.forward(x)
+        conv.backward(g)
         # with an all-ones mask, grad wrt masked weights == grad wrt weights
         assert_allclose(conv.mask_grad, conv.weight.grad * conv.weight.data,
                         rtol=0, atol=1e-10)
@@ -145,12 +143,12 @@ class TestMaskedConv2d:
         conv = make_conv(2, 2, 3, stride=1, padding=1, seed=4)
         x = rng.normal(size=(2, 2, 4, 4))
         proj = rng.normal(size=(2, 2, 4, 4))
-        conv.forward(Tensor(x))
-        conv.backward(Tensor(proj))
+        conv.forward(x)
+        conv.backward(proj)
         got = conv.mask_grad.copy()
 
         def loss():
-            return float((conv.forward(Tensor(x)).data * proj).sum())
+            return float((conv.forward(x) * proj).sum())
 
         # probe a handful of mask entries directly
         for idx in [(0, 0, 0, 0), (1, 1, 2, 2), (0, 1, 1, 0)]:
@@ -169,8 +167,8 @@ class TestMaskedConv2d:
         for _ in range(3):
             x = rng.normal(size=(2, 2, 5, 5))
             g = rng.normal(size=(2, 3, 5, 5))
-            conv.forward(Tensor(x))
-            conv.backward(Tensor(g))
+            conv.forward(x)
+            conv.backward(g)
             total += conv.weight.grad * conv.weight.data
         assert_allclose(conv.mask_grad, total, rtol=0, atol=1e-10)
         assert conv.mask_samples == 6
@@ -178,16 +176,16 @@ class TestMaskedConv2d:
     def test_gate_gradient_when_applied(self):
         rng = np.random.default_rng(33)
         conv = make_conv(2, 3, 3, stride=1, padding=1, seed=6)
-        conv.apply_gate = True
+        block = ConvBlock("conv", conv, bn=None, relu=False)   # conv -> gate
         conv.gate[:] = rng.uniform(0.2, 0.9, size=3)
         x = rng.normal(size=(2, 2, 4, 4))
         proj = rng.normal(size=(2, 3, 4, 4))
-        conv.forward(Tensor(x))
-        conv.backward(Tensor(proj))
+        block.forward(x)
+        block.backward(proj)
         got = conv.gate_grad.copy()
 
         def loss():
-            return float((conv.forward(Tensor(x)).data * proj).sum())
+            return float((block.forward(x) * proj).sum())
 
         assert rel_err(got, numgrad(loss, conv.gate)) <= 1e-5
 
@@ -206,12 +204,12 @@ class TestMaskedConv2d:
         x = rng.normal(size=(2, 2, 6, 6))
         g = rng.normal(size=(2, 3, 6, 6))
         full, skip = make_conv(2, 3, 3, padding=1, seed=3), make_conv(2, 3, 3, padding=1, seed=3)
-        for conv in (full, skip):
-            conv.apply_gate = True
-            conv.gate[:] = [0.5, 1.0, 0.0]
-            conv.forward(Tensor(x))
-        assert full.backward(Tensor(g)) is not None
-        assert skip.backward(Tensor(g), input_grad=False) is None
+        blocks = [ConvBlock("conv", conv, bn=None, relu=False) for conv in (full, skip)]
+        for block in blocks:                                   # conv -> gate
+            block.conv.gate[:] = [0.5, 1.0, 0.0]
+            block.forward(x)
+        assert blocks[0].backward(g) is not None
+        assert blocks[1].backward(g, input_grad=False) is None
         for a, b in ((full.weight.grad, skip.weight.grad), (full.bias.grad, skip.bias.grad),
                      (full.mask_grad, skip.mask_grad), (full.gate_grad, skip.gate_grad)):
             assert np.array_equal(a, b)
@@ -223,12 +221,12 @@ class TestMaskedConv2d:
         grads = []
         for train in (True, False):
             conv = make_conv(3, 4, 3, stride=2, padding=1, seed=7)
-            conv.apply_gate = True
+            block = ConvBlock("conv", conv, bn=None, relu=False)   # conv -> gate
             conv.gate[:] = [1.0, 0.5, 0.0, 0.25]
-            conv.forward(Tensor(x), train=train)
+            block.forward(x, train=train)
             assert (conv._cache[2] is None) == (not train)
-            gx = conv.backward(Tensor(g))
-            grads.append((gx.data, conv.weight.grad, conv.bias.grad, conv.gate_grad,
+            gx = block.backward(g)
+            grads.append((gx, conv.weight.grad, conv.bias.grad, conv.gate_grad,
                           conv.mask_grad))
         for a, b in zip(*grads):
             assert_allclose(a, b, rtol=0, atol=0)
@@ -242,11 +240,11 @@ class TestMaskedLinear:
         proj = rng.normal(size=(3, 4))
 
         def loss():
-            return float((lin.forward(Tensor(x)).data * proj).sum())
+            return float((lin.forward(x) * proj).sum())
 
-        lin.forward(Tensor(x))
-        gx = lin.backward(Tensor(proj))
-        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-5
+        lin.forward(x)
+        gx = lin.backward(proj)
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-5
         assert rel_err(lin.weight.grad, numgrad(loss, lin.weight.data)) <= 1e-5
         assert rel_err(lin.bias.grad, numgrad(loss, lin.bias.data)) <= 1e-5
 
@@ -255,8 +253,8 @@ class TestMaskedLinear:
         lin = make_linear(5, 3, seed=8)
         x = rng.normal(size=(4, 5))
         g = rng.normal(size=(4, 3))
-        lin.forward(Tensor(x))
-        lin.backward(Tensor(g))
+        lin.forward(x)
+        lin.backward(g)
         assert_allclose(lin.mask_grad, lin.weight.grad * lin.weight.data,
                         rtol=0, atol=1e-10)
         assert lin.mask_samples == 4
@@ -272,13 +270,12 @@ class TestBatchNorm:
         proj = rng.normal(size=(4, 3, 3, 3))
 
         def loss():
-            return float((bn.forward(Tensor(x), train=True, update_stats=False).data
-                          * proj).sum())
+            return float((bn.forward(x, train=True, update_stats=False) * proj).sum())
 
-        bn.forward(Tensor(x), train=True, update_stats=False)
-        gx = bn.backward(Tensor(proj))
+        bn.forward(x, train=True, update_stats=False)
+        gx = bn.backward(proj)
         # batch statistics couple every example, so the tolerance is looser
-        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-4
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-4
         assert rel_err(bn.gamma.grad, numgrad(loss, bn.gamma.data)) <= 1e-4
         assert rel_err(bn.beta.grad, numgrad(loss, bn.beta.data)) <= 1e-4
 
@@ -286,22 +283,22 @@ class TestBatchNorm:
         rng = np.random.default_rng(53)
         bn = BatchNorm2d(2)
         x = rng.normal(loc=3.0, scale=2.0, size=(8, 2, 4, 4))
-        bn.forward(Tensor(x), train=True)
+        bn.forward(x, train=True)
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
         assert_allclose(bn.running_mean, 0.9 * 0 + 0.1 * mean, rtol=1e-12)
         assert_allclose(bn.running_var, 0.9 * 1 + 0.1 * var, rtol=1e-12)
-        out = bn.forward(Tensor(x), train=False)
+        out = bn.forward(x, train=False)
         want = (x - bn.running_mean[:, None, None]) / np.sqrt(
             bn.running_var[:, None, None] + bn.eps)
-        assert_allclose(out.data, want * bn.gamma.data[:, None, None]
+        assert_allclose(out, want * bn.gamma.data[:, None, None]
                         + bn.beta.data[:, None, None], rtol=1e-12)
 
     def test_update_mask_freezes_chosen_channels(self):
         rng = np.random.default_rng(55)
         bn = BatchNorm2d(3)
         x = rng.normal(size=(4, 3, 2, 2))
-        bn.forward(Tensor(x), train=True, update_mask=np.array([True, False, True]))
+        bn.forward(x, train=True, update_mask=np.array([True, False, True]))
         assert bn.running_mean[1] == 0.0 and bn.running_var[1] == 1.0
         assert bn.running_mean[0] != 0.0
 
@@ -314,11 +311,11 @@ class TestBatchNorm:
         proj = rng.normal(size=(3, 2, 3, 3))
 
         def loss():
-            return float((bn.forward(Tensor(x), train=False).data * proj).sum())
+            return float((bn.forward(x, train=False) * proj).sum())
 
-        bn.forward(Tensor(x), train=False)
-        gx = bn.backward(Tensor(proj))
-        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-5
+        bn.forward(x, train=False)
+        gx = bn.backward(proj)
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-5
 
     def test_train_mode_gradients_with_frozen_channel(self):
         rng = np.random.default_rng(59)
@@ -330,13 +327,12 @@ class TestBatchNorm:
         frozen = np.array([True, False, True])
 
         def loss():
-            return float((bn.forward(Tensor(x), train=True, update_mask=frozen).data
-                          * proj).sum())
+            return float((bn.forward(x, train=True, update_mask=frozen) * proj).sum())
 
-        bn.forward(Tensor(x), train=True, update_mask=frozen)
-        gx = bn.backward(Tensor(proj))
+        bn.forward(x, train=True, update_mask=frozen)
+        gx = bn.backward(proj)
         gamma_grad, beta_grad = bn.gamma.grad, bn.beta.grad
-        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-4
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-4
         assert rel_err(gamma_grad, numgrad(loss, bn.gamma.data)) <= 1e-4
         assert rel_err(beta_grad, numgrad(loss, bn.beta.data)) <= 1e-4
         # every forward above refreshed the running estimates but channel 1's
@@ -346,7 +342,7 @@ class TestBatchNorm:
     def test_train_batch_of_one_rejected(self):
         bn = BatchNorm2d(2)
         with pytest.raises(DataError):
-            bn.forward(Tensor(np.zeros((1, 2, 3, 3))), train=True)
+            bn.forward(np.zeros((1, 2, 3, 3)), train=True)
 
 
 class TestPoolingAndActivation:
@@ -359,36 +355,36 @@ class TestPoolingAndActivation:
         proj = rng.normal(size=(3, 4))
 
         def loss():
-            return float((relu.forward(Tensor(x)).data * proj).sum())
+            return float((relu.forward(x) * proj).sum())
 
-        relu.forward(Tensor(x))
-        gx = relu.backward(Tensor(proj))
-        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-6
+        relu.forward(x)
+        gx = relu.backward(proj)
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-6
 
     def test_maxpool_forward_and_gradient(self):
         rng = np.random.default_rng(63)
         pool = MaxPool2d(2)
         x = rng.normal(size=(2, 2, 4, 4))
-        out = pool.forward(Tensor(x))
+        out = pool.forward(x)
         want = x.reshape(2, 2, 2, 2, 2, 2).max(axis=(3, 5))
-        assert_allclose(out.data, want, rtol=0, atol=0)
+        assert_allclose(out, want, rtol=0, atol=0)
         proj = rng.normal(size=out.shape)
 
         def loss():
-            return float((pool.forward(Tensor(x)).data * proj).sum())
+            return float((pool.forward(x) * proj).sum())
 
-        gx = pool.backward(Tensor(proj))
-        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-6
+        gx = pool.backward(proj)
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-6
 
     def test_maxpool_ties_route_gradient_to_first_element(self):
         pool = MaxPool2d(2)
         x = np.zeros((1, 2, 4, 4))
         x[0, 1] = 3.0                      # channel 1: equal-valued windows
         x[0, 1, 2, 3] = 5.0                # ...except one with a clear maximum
-        out = pool.forward(Tensor(x))
-        assert_allclose(out.data[0, 1], [[3.0, 3.0], [3.0, 5.0]], rtol=0, atol=0)
+        out = pool.forward(x)
+        assert_allclose(out[0, 1], [[3.0, 3.0], [3.0, 5.0]], rtol=0, atol=0)
         g = np.arange(1.0, 9.0).reshape(1, 2, 2, 2)
-        gx = pool.backward(Tensor(g)).data
+        gx = pool.backward(g)
         want = np.zeros_like(x)
         want[:, :, ::2, ::2] = g           # top-left of each window
         want[0, 1, 2, 2] = 0.0
@@ -402,8 +398,8 @@ class TestPoolingAndActivation:
         g = rng.normal(size=x.shape)
         relu = ReLU()
         want, backward = reference_relu(x)
-        assert np.array_equal(relu.forward(Tensor(x)).data, want)
-        assert np.array_equal(relu.backward(Tensor(g)).data, backward(g))
+        assert np.array_equal(relu.forward(x), want)
+        assert np.array_equal(relu.backward(g), backward(g))
 
     @pytest.mark.parametrize("shape,k", [((2, 3, 6, 6), 2), ((2, 3, 7, 5), 2),
                                          ((1, 2, 9, 10), 3)])
@@ -412,33 +408,33 @@ class TestPoolingAndActivation:
         # few distinct values: all-negative windows, exact-zero and positive ties
         x = rng.integers(-2, 3, size=shape).astype(float)
         pool = MaxPool2d(k)
-        out = pool.forward(Tensor(x)).data
+        out = pool.forward(x)
         want, backward = reference_maxpool(x, k)
         assert np.array_equal(out, want)
         g = rng.normal(size=out.shape)
-        assert np.array_equal(pool.backward(Tensor(g)).data, backward(g))
+        assert np.array_equal(pool.backward(g), backward(g))
 
     def test_relu_passes_nan_forward(self):
-        out = ReLU().forward(Tensor(np.array([[-1.0, np.nan, 2.0]])))
-        assert out.data[0, 0] == 0.0 and np.isnan(out.data[0, 1]) and out.data[0, 2] == 2.0
+        out = ReLU().forward(np.array([[-1.0, np.nan, 2.0]]))
+        assert out[0, 0] == 0.0 and np.isnan(out[0, 1]) and out[0, 2] == 2.0
 
     def test_maxpool_drops_remainder(self):
         x = np.arange(2 * 1 * 5 * 5, dtype=float).reshape(2, 1, 5, 5)
-        out = MaxPool2d(2).forward(Tensor(x))
+        out = MaxPool2d(2).forward(x)
         assert out.shape == (2, 1, 2, 2)
         # odd sizes: the trailing row and column get zero gradient
         rng = np.random.default_rng(65)
         pool = MaxPool2d(2)
         x = rng.normal(size=(2, 3, 7, 5))
-        out = pool.forward(Tensor(x))
-        assert_allclose(out.data, x[:, :, :6, :4].reshape(2, 3, 3, 2, 2, 2).max(axis=(3, 5)),
+        out = pool.forward(x)
+        assert_allclose(out, x[:, :, :6, :4].reshape(2, 3, 3, 2, 2, 2).max(axis=(3, 5)),
                         rtol=0, atol=0)
         proj = rng.normal(size=out.shape)
-        gx = pool.backward(Tensor(proj)).data
+        gx = pool.backward(proj)
         assert not gx[:, :, 6, :].any() and not gx[:, :, :, 4].any()
 
         def loss():
-            return float((pool.forward(Tensor(x)).data * proj).sum())
+            return float((pool.forward(x) * proj).sum())
 
         assert rel_err(gx, numgrad(loss, x)) <= 1e-6
 
@@ -446,29 +442,29 @@ class TestPoolingAndActivation:
         rng = np.random.default_rng(67)
         gap = GlobalAvgPool()
         x = rng.normal(size=(2, 3, 4, 5))
-        out = gap.forward(Tensor(x))
-        assert_allclose(out.data, x.mean(axis=(2, 3)), rtol=1e-15)
+        out = gap.forward(x)
+        assert_allclose(out, x.mean(axis=(2, 3)), rtol=1e-15)
         proj = rng.normal(size=(2, 3))
 
         def loss():
-            return float((gap.forward(Tensor(x)).data * proj).sum())
+            return float((gap.forward(x) * proj).sum())
 
-        gx = gap.backward(Tensor(proj))
-        assert rel_err(gx.data, numgrad(loss, x)) <= 1e-7
+        gx = gap.backward(proj)
+        assert rel_err(gx, numgrad(loss, x)) <= 1e-7
 
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(69)
         fl = Flatten()
         x = rng.normal(size=(2, 3, 4, 4))
-        out = fl.forward(Tensor(x))
+        out = fl.forward(x)
         assert out.shape == (2, 48)
-        back = fl.backward(Tensor(out.data))
-        assert_allclose(back.data, x, rtol=0, atol=0)
+        back = fl.backward(out)
+        assert_allclose(back, x, rtol=0, atol=0)
 
 
 class TestSoftmaxCrossEntropy:
     def test_loss_value_uniform(self):
-        logits = Tensor(np.zeros((4, 10)))
+        logits = np.zeros((4, 10))
         loss, _ = softmax_cross_entropy(logits, np.array([0, 3, 5, 9]))
         assert_allclose(loss, np.log(10.0), rtol=1e-12)
 
@@ -478,22 +474,22 @@ class TestSoftmaxCrossEntropy:
         y = rng.integers(0, 7, size=5)
 
         def loss():
-            return softmax_cross_entropy(Tensor(z), y)[0]
+            return softmax_cross_entropy(z, y)[0]
 
-        _, g = softmax_cross_entropy(Tensor(z), y)
-        assert rel_err(g.data, numgrad(loss, z)) <= 1e-6
+        _, g = softmax_cross_entropy(z, y)
+        assert rel_err(g, numgrad(loss, z)) <= 1e-6
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(73)
         z = rng.normal(size=(3, 5)) * 50
         y = np.array([0, 2, 4])
-        l1, _ = softmax_cross_entropy(Tensor(z), y)
-        l2, _ = softmax_cross_entropy(Tensor(z + 1000.0), y)
+        l1, _ = softmax_cross_entropy(z, y)
+        l2, _ = softmax_cross_entropy(z + 1000.0, y)
         assert_allclose(l1, l2, rtol=1e-9)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DataError):
-            softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+            softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
 class TestSgdStep:

@@ -271,17 +271,17 @@ def reference_block_pass(block, x, g):
     """conv -> bn -> gate -> relu -> max-pool and back, through the
     masked-select ReLU and pool kernels the block no longer uses."""
     conv, bn, gate = block.conv, block.bn, block.conv.gate[None, :, None, None]
-    z = conv.forward(x).data
+    z = conv.forward(x)
     if bn is not None:
-        z = bn.forward(z, update_mask=conv.gate >= block.delta_freeze).data
+        z = bn.forward(z, update_mask=conv.gate >= block.delta_freeze)
     relu_out, relu_back = reference_relu(z * gate)
     out, pool_back = reference_maxpool(relu_out, 2)
     gz = relu_back(pool_back(g))
     conv.gate_grad = (gz * z).sum(axis=(0, 2, 3))
     gz = gz * gate
     if bn is not None:
-        gz = bn.backward(gz).data
-    return out, conv.backward(gz).data
+        gz = bn.backward(gz)
+    return out, conv.backward(gz)
 
 
 class TestPooledConvBlock:

@@ -16,11 +16,9 @@ from maskprune.pruning import (
     SharpnessSchedule,
     build_plan,
     compact,
-    global_threshold,
     has_converged,
     lambda_value,
     strategy_loss,
-    target_vector,
 )
 
 
@@ -30,43 +28,44 @@ class TestGlobalThreshold:
         # smallest (0.1 and 0.3) -> threshold is the influence of the last
         # marked channel, 0.3
         infl = {"a": np.array([0.1, 0.9, 0.3, 0.7, 0.5])}
-        assert global_threshold(infl, 0.4) == 0.3
+        assert build_plan(infl, 0.4).threshold == 0.3
 
     def test_rate_zero_marks_nothing(self):
         infl = {"a": np.array([5.0, 1.0])}
-        assert global_threshold(infl, 0.0) == float("-inf")
+        plan = build_plan(infl, 0.0)
+        assert plan.threshold == float("-inf")
+        assert plan.targets["a"].tolist() == [1, 1]
 
     def test_spans_layers(self):
         infl = {"a": np.array([0.4, 0.1]), "b": np.array([0.2, 0.3, 0.5])}
         # rate 0.6 over 5 channels -> mark 3 smallest: 0.1, 0.2, 0.3
-        assert global_threshold(infl, 0.6) == 0.3
+        assert build_plan(infl, 0.6).threshold == 0.3
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ShapeError):
-            global_threshold({"a": np.array([1.0])}, 1.5)
+            build_plan({"a": np.array([1.0])}, 1.5)
         with pytest.raises(ShapeError):
-            global_threshold({"a": np.array([1.0])}, -0.1)
+            build_plan({"a": np.array([1.0])}, -0.1)
 
 
-class TestTargetVector:
-    def test_strictly_above_threshold_kept(self):
-        assert target_vector(np.array([5.0, 1.0, 4.0]), 2.0, 0.5).tolist() == [1, 0, 1]
-        # a channel exactly at the threshold counts as marked
-        assert target_vector(np.array([2.0, 3.0]), 2.0, 0.5).tolist() == [0, 1]
-
+class TestCollapseGuard:
     def test_collapse_guard(self):
-        # every channel below threshold: keep top ceil(0.2 * (1-r) * width)
-        infl = np.linspace(0.0, 0.9, 10)
-        t = target_vector(infl, 1.0, 0.5)
-        assert t.sum() == max(1, math.ceil(0.2 * 0.5 * 10))
-        assert t[np.argmax(infl)] == 1
+        # rate 0.4 over 50 channels marks the 20 smallest: every channel of
+        # "a".  The guard keeps its top ceil(0.2 * (1-r) * width) = 3 instead.
+        infl = {"a": np.linspace(0.0, 0.9, 20), "b": np.full(30, 5.0)}
+        t = build_plan(infl, 0.4).targets
+        assert t["a"].sum() == max(1, math.ceil(0.2 * 0.6 * 20))
+        assert t["a"][17:].all() and not t["a"][:17].any()
+        assert t["b"].all()
 
     def test_collapse_guard_keeps_strongest(self):
-        infl = np.array([0.3, 0.9, 0.1, 0.5])
-        t = target_vector(infl, 2.0, 0.0)
-        kept = max(1, math.ceil(0.2 * 1.0 * 4))
-        assert t.sum() == kept
-        assert t[1] == 1   # strongest survives
+        # every channel of "a" is marked; of its two strongest (tied) the
+        # earlier index survives
+        infl = {"a": np.array([0.3, 0.9, 0.1, 0.9, 0.5]), "b": np.full(5, 5.0)}
+        t = build_plan(infl, 0.5).targets
+        assert max(1, math.ceil(0.2 * 0.5 * 5)) == 1
+        assert t["a"].tolist() == [0, 1, 0, 0, 0]
+        assert t["b"].all()
 
 
 class TestBuildPlan:

@@ -1,4 +1,4 @@
-"""Tensor-core tests: every fast path is checked against a slow loop-nest
+"""Convolution-kernel tests: every fast path is checked against a slow loop-nest
 oracle, every backward pass against central finite differences."""
 
 import itertools
@@ -9,28 +9,12 @@ from numpy.testing import assert_allclose
 
 from maskprune.errors import ShapeError
 from maskprune.tensor import (
-    Tensor,
     col2im,
     conv2d_backward,
     conv2d_forward,
     conv_output_hw,
-    hadamard,
     im2col,
-    matmul,
-    reduce_sum,
 )
-
-
-def matmul_oracle(a, b):
-    """Triple-loop matrix product, the reference the fast path must match."""
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
 
 
 def conv_oracle(x, w, bias, stride, padding):
@@ -63,46 +47,6 @@ SHAPE_CASES = {
 }
 
 
-class TestBasicOps:
-    def test_tensor_wraps_and_copies(self):
-        t = Tensor([[1, 2], [3, 4]])
-        assert t.shape == (2, 2) and t.data.dtype == np.float64
-        c = t.copy()
-        c.data[0, 0] = 99.0
-        assert t.data[0, 0] == 1.0
-
-    def test_hadamard_matches_numpy(self):
-        rng = np.random.default_rng(11)
-        a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        assert_allclose(hadamard(Tensor(a), Tensor(b)).data, a * b, rtol=0, atol=0)
-
-    def test_hadamard_shape_mismatch_reports_both_shapes(self):
-        with pytest.raises(ShapeError) as err:
-            hadamard(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-        assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
-
-    def test_matmul_against_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            a = rng.normal(size=(rng.integers(1, 7), rng.integers(1, 7)))
-            b = rng.normal(size=(a.shape[1], rng.integers(1, 7)))
-            assert_allclose(matmul(Tensor(a), Tensor(b)).data, matmul_oracle(a, b),
-                            rtol=1e-13, atol=1e-13)
-
-    def test_matmul_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-    def test_reduce_sum_axes(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 4))
-        assert_allclose(reduce_sum(Tensor(x), (0, 2)).data, x.sum(axis=(0, 2)))
-        with pytest.raises(ShapeError):
-            reduce_sum(Tensor(x), (0, 0))
-        with pytest.raises(ShapeError):
-            reduce_sum(Tensor(x), (3,))
-
-
 class TestConvGeometry:
     def test_output_hw_formula(self):
         # floor((H + 2p - K)/s) + 1
@@ -112,8 +56,7 @@ class TestConvGeometry:
 
     def test_degenerate_output_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(Tensor(np.zeros((1, 1, 2, 2))),
-                           Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros(1)), 1, 0)
+            conv2d_forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)), np.zeros(1), 1, 0)
 
     def test_im2col_col2im_adjoint(self):
         # <im2col(x), y> == <x, col2im(y)> makes col2im the exact transpose,
@@ -157,19 +100,17 @@ class TestConvForward:
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
         b = rng.normal(size=w_shape[0])
-        got = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride, padding)
+        got = conv2d_forward(x, w, b, stride, padding)
         want = conv_oracle(x, w, b, stride, padding)
-        assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_kernel_larger_than_padded_input_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(Tensor(np.zeros((1, 2, 4, 4))),
-                           Tensor(np.zeros((3, 2, 7, 7))), Tensor(np.zeros(3)), 1, 1)
+            conv2d_forward(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 7, 7)), np.zeros(3), 1, 1)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(Tensor(np.zeros((1, 3, 8, 8))),
-                           Tensor(np.zeros((4, 2, 3, 3))), Tensor(np.zeros(4)), 1, 1)
+            conv2d_forward(np.zeros((1, 3, 8, 8)), np.zeros((4, 2, 3, 3)), np.zeros(4), 1, 1)
 
 
 def _num_grad(f, x, h=1e-6):
@@ -195,32 +136,32 @@ class TestConvBackward:
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         # fixed projection makes the loss a smooth scalar of every input
-        proj = rng.normal(size=conv2d_forward(Tensor(x), Tensor(w), Tensor(b), 1, 1).shape)
+        proj = rng.normal(size=conv2d_forward(x, w, b, 1, 1).shape)
 
         def loss():
-            out = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), 1, 1)
-            return float((out.data * proj).sum())
+            out = conv2d_forward(x, w, b, 1, 1)
+            return float((out * proj).sum())
 
-        gx, gw, gb = conv2d_backward(Tensor(x), Tensor(w), Tensor(proj), 1, 1)
-        assert_allclose(gx.data, _num_grad(loss, x), rtol=1e-6, atol=1e-8)
-        assert_allclose(gw.data, _num_grad(loss, w), rtol=1e-6, atol=1e-8)
-        assert_allclose(gb.data, _num_grad(loss, b), rtol=1e-6, atol=1e-8)
+        gx, gw, gb = conv2d_backward(x, w, proj, 1, 1)
+        assert_allclose(gx, _num_grad(loss, x), rtol=1e-6, atol=1e-8)
+        assert_allclose(gw, _num_grad(loss, w), rtol=1e-6, atol=1e-8)
+        assert_allclose(gb, _num_grad(loss, b), rtol=1e-6, atol=1e-8)
 
     def test_strided_gradients(self):
         rng = np.random.default_rng(29)
         x = rng.normal(size=(1, 2, 6, 6))
         w = rng.normal(size=(2, 2, 3, 3))
         b = rng.normal(size=2)
-        proj = rng.normal(size=conv2d_forward(Tensor(x), Tensor(w), Tensor(b), 2, 1).shape)
+        proj = rng.normal(size=conv2d_forward(x, w, b, 2, 1).shape)
 
         def loss():
-            out = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), 2, 1)
-            return float((out.data * proj).sum())
+            out = conv2d_forward(x, w, b, 2, 1)
+            return float((out * proj).sum())
 
-        gx, gw, gb = conv2d_backward(Tensor(x), Tensor(w), Tensor(proj), 2, 1)
-        assert_allclose(gx.data, _num_grad(loss, x), rtol=1e-6, atol=1e-8)
-        assert_allclose(gw.data, _num_grad(loss, w), rtol=1e-6, atol=1e-8)
-        assert_allclose(gb.data, _num_grad(loss, b), rtol=1e-6, atol=1e-8)
+        gx, gw, gb = conv2d_backward(x, w, proj, 2, 1)
+        assert_allclose(gx, _num_grad(loss, x), rtol=1e-6, atol=1e-8)
+        assert_allclose(gw, _num_grad(loss, w), rtol=1e-6, atol=1e-8)
+        assert_allclose(gb, _num_grad(loss, b), rtol=1e-6, atol=1e-8)
 
     def test_cached_cols_give_same_answer(self):
         rng = np.random.default_rng(31)
@@ -229,14 +170,12 @@ class TestConvBackward:
             x = rng.normal(size=x_shape)
             w = rng.normal(size=w_shape)
             b = rng.normal(size=w_shape[0])
-            out, cols = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride, padding,
-                                       return_cache=True)
+            out, cols = conv2d_forward(x, w, b, stride, padding, return_cache=True)
             g = rng.normal(size=out.shape)
-            with_cache = conv2d_backward(Tensor(x), Tensor(w), Tensor(g), stride, padding,
-                                         cols=cols)
-            without = conv2d_backward(Tensor(x), Tensor(w), Tensor(g), stride, padding)
+            with_cache = conv2d_backward(x, w, g, stride, padding, cols=cols)
+            without = conv2d_backward(x, w, g, stride, padding)
             for a, c in zip(with_cache, without):
-                assert_allclose(a.data, c.data, rtol=0, atol=0)
+                assert_allclose(a, c, rtol=0, atol=0)
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding",
                              list(SHAPE_CASES.values()), ids=list(SHAPE_CASES))
@@ -246,14 +185,13 @@ class TestConvBackward:
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
         b = rng.normal(size=w_shape[0])
-        proj = rng.normal(size=conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride,
-                                              padding).shape)
+        proj = rng.normal(size=conv2d_forward(x, w, b, stride, padding).shape)
 
         def loss():
-            out = conv2d_forward(Tensor(x), Tensor(w), Tensor(b), stride, padding)
-            return float((out.data * proj).sum())
+            out = conv2d_forward(x, w, b, stride, padding)
+            return float((out * proj).sum())
 
-        gx, gw, gb = conv2d_backward(Tensor(x), Tensor(w), Tensor(proj), stride, padding)
-        assert_allclose(gx.data, _num_grad(loss, x), rtol=1e-6, atol=1e-8)
-        assert_allclose(gw.data, _num_grad(loss, w), rtol=1e-6, atol=1e-8)
-        assert_allclose(gb.data, _num_grad(loss, b), rtol=1e-6, atol=1e-8)
+        gx, gw, gb = conv2d_backward(x, w, proj, stride, padding)
+        assert_allclose(gx, _num_grad(loss, x), rtol=1e-6, atol=1e-8)
+        assert_allclose(gw, _num_grad(loss, w), rtol=1e-6, atol=1e-8)
+        assert_allclose(gb, _num_grad(loss, b), rtol=1e-6, atol=1e-8)
