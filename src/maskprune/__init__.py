@@ -20,6 +20,7 @@ from .influence import (
     BINARY_CUTOFF,
     ChannelScorer,
     InfluenceMap,
+    InfluenceSum,
     StrategyState,
     binarize,
     capture_influence,
@@ -52,6 +53,7 @@ __all__ = [
     "DataError",
     "ExperimentConfig",
     "InfluenceMap",
+    "InfluenceSum",
     "MaskPruneError",
     "Model",
     "NumericalError",

@@ -1,10 +1,10 @@
 """Per-weight influence capture and the learned keep/drop strategy.
 
-Influence of a weight is the gradient of the loss with respect to that
-weight's all-ones mask entry, i.e. ``grad_w * w`` — a first-order estimate of
-how much the loss would move if the weight were wiped.  Masked layers
-accumulate this quantity during backward passes; :func:`capture_influence`
-drains the accumulator into an :class:`InfluenceMap`.
+Influence of a weight is the loss gradient w.r.t. a multiplicative mask on it
+at m = 1, ``w * dL/dw`` — a first-order estimate of how much the loss would
+move if the weight were wiped.  No mask is stored: where influence is read, an
+:class:`InfluenceSum` adds ``w * dL/dw`` after each backward pass, and
+:func:`capture_influence` drains it into an :class:`InfluenceMap`.
 
 Channel-level decisions are produced by a tiny learned scorer: a single
 kernel the size of one channel slab plus a scalar bias, shared across the
@@ -49,27 +49,43 @@ class ChannelInfluence:
     values: np.ndarray      # shape [channels]
 
 
-def capture_influence(layer, name: str | None = None,
-                      degate: bool = False, delta: float = 1e-3) -> InfluenceMap:
-    """Drain a masked layer's mask-gradient accumulator into an InfluenceMap.
+class InfluenceSum:
+    """One masked layer's summed influence and the examples it covers."""
 
-    The accumulator is zeroed and the sample counter reset.  With ``degate``
-    the slab of every channel is divided by its current gate value (channels
-    gated below ``delta`` are left as-is): during soft gating the mask
-    gradient scales linearly with the applied gate, which is instrumentation,
-    not importance, so measurements stay commensurate with a threshold that
-    was calibrated on the ungated network.
+    def __init__(self, layer):
+        self.layer = layer
+        self.total = np.zeros_like(layer.weight.data)
+        self.samples = 0
+
+    def add(self, batch: int) -> None:
+        """Add the last backward pass over ``batch`` examples; call it before
+        the weights are updated."""
+        weight = self.layer.weight
+        self.total += weight.grad * weight.data
+        self.samples += batch
+
+
+def capture_influence(acc: InfluenceSum, name: str | None = None,
+                      degate: bool = False, delta: float = 1e-3) -> InfluenceMap:
+    """Drain an influence sum into an InfluenceMap (the per-example mean).
+
+    The sum is zeroed and the sample counter reset.  With ``degate`` the slab
+    of every channel is divided by the layer's current gate value (channels
+    gated below ``delta`` are left as-is): during soft gating the influence
+    scales linearly with the applied gate, which is instrumentation, not
+    importance, so measurements stay commensurate with a threshold that was
+    calibrated on the ungated network.
     """
-    if layer.mask_samples <= 0:
+    if acc.samples <= 0:
         raise ShapeError("influence capture with empty accumulator (no samples seen)")
-    values = layer.mask_grad / float(layer.mask_samples)
+    values = acc.total / float(acc.samples)
     if degate:
-        gate = layer.gate
+        gate = acc.layer.gate
         scale = np.where(gate >= delta, gate, 1.0)
         values = values / scale.reshape((-1,) + (1,) * (values.ndim - 1))
-    fresh = InfluenceMap(name or "layer", values, layer.mask_samples)
-    layer.mask_grad = np.zeros_like(layer.mask_grad)
-    layer.mask_samples = 0
+    fresh = InfluenceMap(name or "layer", values, acc.samples)
+    acc.total.fill(0.0)
+    acc.samples = 0
     return fresh
 
 

@@ -1,23 +1,19 @@
-"""Network layers with mask-gradient instrumentation.
+"""Network layers.
 
-The two weighted layer types carry three extra pieces of state on top of a
-plain conv/linear layer:
+The two weighted layer types, ``MaskedConv2d`` and ``MaskedLinear``, are a
+plain conv/linear layer plus a per-output-channel ``gate`` in [0, 1].  Gates
+are written by the pruning controller (soft values while a strategy anneals,
+hard 0/1 afterwards) and scale the channel's activations; a gate below
+``delta_freeze`` also freezes the channel's weights and its batch-norm
+statistics ("false pruning": the channel stays in memory but stops
+participating).  The layer only stores the gate and its gradient
+``gate_grad``: the block that owns the layer applies the gate after its batch
+norm and fills ``gate_grad`` (see :mod:`maskprune.models`).
 
-* ``mask`` — an all-ones companion tensor combined elementwise with the
-  weights on every forward pass.  It is never updated by the optimizer; its
-  only purpose is that the gradient *with respect to the mask* equals
-  ``grad_w * w`` elementwise, which is the per-weight influence estimate the
-  pruning machinery consumes.
-* ``mask_grad`` — accumulator for that gradient across backward passes,
-  consumed and zeroed by ``influence.capture_influence``.
-* ``gate`` — a per-output-channel multiplier in [0, 1].  Gates are written by
-  the pruning controller (soft values while a strategy anneals, hard 0/1
-  afterwards) and scale the channel's activations; a gate below
-  ``delta_freeze`` also freezes the channel's weights and its batch-norm
-  statistics ("false pruning": the channel stays in memory but stops
-  participating).  The layer only stores the gate and its gradient
-  ``gate_grad``: the block that owns the layer applies the gate after its
-  batch norm and fills ``gate_grad`` (see :mod:`maskprune.models`).
+The layers are named for the paper's multiplicative weight mask, but they
+keep none: a weight's influence, the loss gradient w.r.t. its mask entry at
+m = 1, is ``w * dL/dw``, and :mod:`maskprune.influence` computes it from the
+weight and the gradient the backward leaves here, only where it is read.
 
 Every ``forward``/``backward`` here takes any array-like and returns a
 C-contiguous float64 ndarray.
@@ -62,7 +58,7 @@ def _gate_grad(grad_out: np.ndarray, pre_gate: np.ndarray) -> np.ndarray:
 
 
 class MaskedConv2d:
-    """2-D convolution with mask instrumentation and a per-filter gate."""
+    """2-D convolution with a per-filter gate."""
 
     kind = "conv"
 
@@ -74,9 +70,6 @@ class MaskedConv2d:
         self.bias = Parameter(np.asarray(bias, dtype=np.float64))
         self.stride = int(stride)
         self.padding = int(padding)
-        self.mask = np.ones_like(self.weight.data)
-        self.mask_grad = np.zeros_like(self.weight.data)
-        self.mask_samples = 0
         self.gate = np.ones(weight.shape[0], dtype=np.float64)
         self.gate_grad = np.zeros(weight.shape[0], dtype=np.float64)
         self._cache = None
@@ -91,32 +84,25 @@ class MaskedConv2d:
 
     def forward(self, x, train: bool = True):
         x = _as_array(x)
-        w_eff = self.mask * self.weight.data
+        w = self.weight.data
         if train:
-            out, cols = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding,
+            out, cols = conv2d_forward(x, w, self.bias.data, self.stride, self.padding,
                                        return_cache=True)
         else:  # keep no Cin*Kh*Kw-times-input columns; backward recomputes them
-            out = conv2d_forward(x, w_eff, self.bias.data, self.stride, self.padding)
+            out = conv2d_forward(x, w, self.bias.data, self.stride, self.padding)
             cols = None
-        self._cache = (x, w_eff, cols)
+        self._cache = (x, cols)
         return out
 
     def backward(self, grad_out, input_grad: bool = True):
-        """Fill the weight, bias and mask gradients; return the gradient w.r.t.
-        the input, or None with ``input_grad=False``."""
+        """Fill the weight and bias gradients; return the gradient w.r.t. the
+        input, or None with ``input_grad=False``."""
         if self._cache is None:
             raise ShapeError("backward called before forward")
-        x, w_eff, cols = self._cache
-        grad_x, grad_w_eff, grad_b = conv2d_backward(x, w_eff, grad_out, self.stride,
-                                                     self.padding, cols=cols,
-                                                     input_grad=input_grad)
-        # Gradient w.r.t. the mask entry m is grad_(m*w) * w; w.r.t. the
-        # weight it is grad_(m*w) * m (the mask is all ones, but the two
-        # expressions are kept distinct on purpose).
-        self.mask_grad += grad_w_eff * self.weight.data
-        self.mask_samples += x.shape[0]
-        self.weight.grad = grad_w_eff * self.mask
-        self.bias.grad = grad_b
+        x, cols = self._cache
+        grad_x, self.weight.grad, self.bias.grad = conv2d_backward(
+            x, self.weight.data, grad_out, self.stride, self.padding, cols=cols,
+            input_grad=input_grad)
         return grad_x
 
     def param_groups(self, delta_freeze: float = 0.0):
@@ -126,7 +112,7 @@ class MaskedConv2d:
 
 
 class MaskedLinear:
-    """Fully connected layer with the same instrumentation as MaskedConv2d.
+    """Fully connected layer with a per-unit gate, like MaskedConv2d.
 
     A "channel" of a linear layer is one output unit (one weight row).
     """
@@ -139,9 +125,6 @@ class MaskedLinear:
             raise ShapeError(f"linear weight must be [out, in], got rank {weight.ndim}")
         self.weight = Parameter(weight)
         self.bias = Parameter(np.asarray(bias, dtype=np.float64))
-        self.mask = np.ones_like(self.weight.data)
-        self.mask_grad = np.zeros_like(self.weight.data)
-        self.mask_samples = 0
         self.gate = np.ones(weight.shape[0], dtype=np.float64)
         self.gate_grad = np.zeros(weight.shape[0], dtype=np.float64)
         self._cache = None
@@ -160,21 +143,16 @@ class MaskedLinear:
             raise ShapeError(
                 f"linear expects [N, {self.in_channels}] input, got {tuple(x.shape)}"
             )
-        w_eff = self.mask * self.weight.data
-        self._cache = (x, w_eff)
-        return x @ w_eff.T + self.bias.data
+        self._cache = x
+        return x @ self.weight.data.T + self.bias.data
 
     def backward(self, grad_out, input_grad: bool = True):
         if self._cache is None:
             raise ShapeError("backward called before forward")
         g = _as_array(grad_out)
-        x, w_eff = self._cache
-        grad_w_eff = g.T @ x
-        self.mask_grad += grad_w_eff * self.weight.data
-        self.mask_samples += x.shape[0]
-        self.weight.grad = grad_w_eff * self.mask
+        self.weight.grad = g.T @ self._cache
         self.bias.grad = g.sum(axis=0)
-        return g @ w_eff if input_grad else None
+        return g @ self.weight.data if input_grad else None
 
     def param_groups(self, delta_freeze: float = 0.0):
         frozen = self.gate < delta_freeze if delta_freeze > 0 else None

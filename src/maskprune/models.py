@@ -7,8 +7,8 @@ contribution exactly zero downstream, which in turn makes physical channel
 removal prediction-preserving.
 
 Compaction (`Model.compact`) produces a new model built from plain
-inference-only layers with pruned channels physically removed — no masks, no
-gates, no accumulators.  Residual blocks only ever have their first (in-block)
+inference-only layers with pruned channels physically removed — no gates and
+no gradient buffers.  Residual blocks only ever have their first (in-block)
 convolution narrowed; the stream width entering and leaving a block is fixed.
 """
 
@@ -137,7 +137,8 @@ class ConvBlock:
             z = self.pool.forward(z, train)
         if self.relu is not None:
             z = self.relu.forward(z, train)
-        return z
+        # an open gate with nothing after it would hand out _pre_gate itself
+        return z.copy() if z is self._pre_gate else z
 
     def backward(self, g, input_grad: bool = True):
         if self.relu is not None:
@@ -194,7 +195,7 @@ class LinearBlock:
         z = _apply_channel_gate(z, self.linear.gate)
         if self.relu is not None:
             z = self.relu.forward(z, train)
-        return z
+        return z.copy() if z is self._pre_gate else z  # as in ConvBlock
 
     def backward(self, g, input_grad: bool = True):
         if self.relu is not None:
@@ -454,9 +455,9 @@ class Model:
 
     def backward(self, grad_logits) -> None:
         """Backpropagate ``grad_logits`` through every block, filling the
-        parameter gradients and each masked layer's ``mask_grad`` and
-        ``gate_grad``.  Nothing reads the gradient w.r.t. the images, so the
-        first block skips it and this returns None."""
+        parameter gradients (whence influence, ``weight.grad * weight.data``)
+        and each masked layer's ``gate_grad``.  Nothing reads the gradient
+        w.r.t. the images, so the first block skips it and this returns None."""
         g = _as_array(grad_logits)
         first = self.blocks[0]
         for block in reversed(self.blocks):
@@ -510,8 +511,6 @@ class Model:
                 out[f"{name}.weight"] = layer.weight.data
                 out[f"{name}.bias"] = layer.bias.data
                 out[f"{name}.gate"] = layer.gate
-                out[f"{name}.mask_grad"] = layer.mask_grad
-                out[f"{name}.mask_samples"] = np.array(float(layer.mask_samples))
                 for pname, p in (("weight", layer.weight), ("bias", layer.bias)):
                     if p.velocity is not None:
                         out[f"{name}.{pname}.velocity"] = p.velocity
@@ -527,8 +526,8 @@ class Model:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy ``arrays`` into the model's own arrays, in place; every array
-        is checked for presence and shape before anything is assigned.  The
-        mask is reset to all ones, and a velocity the state lacks is dropped."""
+        is checked for presence and shape before anything is assigned.  A
+        velocity the state lacks is dropped, an array the model lacks ignored."""
         shapes = {k: v.shape for k, v in self.state_arrays().items()
                   if not k.endswith(".velocity")}
         missing = set(shapes) - set(arrays)
@@ -556,9 +555,6 @@ class Model:
                 load_param(layer.weight, f"{name}.weight")
                 load_param(layer.bias, f"{name}.bias")
                 np.copyto(layer.gate, arrays[f"{name}.gate"])
-                np.copyto(layer.mask_grad, arrays[f"{name}.mask_grad"])
-                layer.mask_samples = int(arrays[f"{name}.mask_samples"])
-                layer.mask.fill(1.0)
             elif isinstance(layer, BatchNorm2d):
                 load_param(layer.gamma, f"{name}.gamma")
                 load_param(layer.beta, f"{name}.beta")

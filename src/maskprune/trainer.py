@@ -33,6 +33,7 @@ from .influence import (
     BINARY_CUTOFF,
     ChannelScorer,
     InfluenceMap,
+    InfluenceSum,
     StrategyState,
     binarize,
     capture_influence,
@@ -270,6 +271,7 @@ class Trainer:
                 f"{self.global_epoch}, step {step}; no update was applied")
         self.model.backward(grad)
         if active is not None:
+            self._influence.add(x.shape[0])
             weight, s_loss = strategy_step(
                 self.scorers[active], state, schedule, self._map_in,
                 extra_grad_soft=layer.gate_grad, lr=self._scorer_lr,
@@ -308,20 +310,20 @@ class Trainer:
                      running / max(1, self.steps_per_epoch()))
 
     def measure_influence(self) -> dict[str, np.ndarray]:
-        """One update-free pass over the training data, accumulating mask
-        gradients everywhere; refreshes the stored maps and returns the
+        """One update-free pass over the training data, summing the influence
+        of every prunable layer; refreshes the stored maps and returns the
         per-channel influence vectors."""
-        for ref in self.prunable.values():
-            ref.layer.mask_grad = np.zeros_like(ref.layer.mask_grad)
-            ref.layer.mask_samples = 0
+        sums = {name: InfluenceSum(ref.layer) for name, ref in self.prunable.items()}
         for x, y in self._train_batches(self.global_epoch):
             logits = self.model.forward(x, train=True, update_stats=False)
             _, grad = softmax_cross_entropy(logits, y)
             self.model.backward(grad)
+            for acc in sums.values():
+                acc.add(x.shape[0])
         self.global_epoch += 1
         influences = {}
-        for name, ref in self.prunable.items():
-            fresh = capture_influence(ref.layer, name)
+        for name, acc in sums.items():
+            fresh = capture_influence(acc, name)
             self.maps[name] = ema_merge(None, fresh, self.cfg.ema_decay)
             influences[name] = channel_influence(fresh, self.cfg.influence_mode).values
         return influences
@@ -374,8 +376,7 @@ class Trainer:
         state = self.strategies[name]
         state.status = "active"
         state.history = []
-        ref.layer.mask_grad = np.zeros_like(ref.layer.mask_grad)
-        ref.layer.mask_samples = 0
+        self._influence = InfluenceSum(ref.layer)  # fed by train_step
 
         start = cfg.anneal_start if ref.kind == "conv" else cfg.anneal_start_fc
         factor = cfg.anneal_end_factor if ref.kind == "conv" else cfg.anneal_end_factor_fc
@@ -424,13 +425,13 @@ class Trainer:
             self.global_epoch += 1
             if converged:
                 break
-            if epoch_i < cfg.prune_epochs - 1 and ref.layer.mask_samples > 0:
+            if epoch_i < cfg.prune_epochs - 1 and self._influence.samples > 0:
                 # between scheduled anneal windows: fold a de-gated influence
                 # re-measurement into the running map and re-derive the target
                 # against the fixed global threshold.  Extension epochs past
                 # the schedule keep the target fixed so the strategy can
                 # settle instead of chasing measurement drift.
-                fresh = capture_influence(ref.layer, name, degate=True,
+                fresh = capture_influence(self._influence, name, degate=True,
                                           delta=cfg.delta_freeze)
                 self.maps[name] = ema_merge(self.maps[name], fresh, cfg.ema_decay)
                 self._map_in = map_in = self._scorer_input(name)

@@ -16,6 +16,7 @@ from maskprune.config import ExperimentConfig
 from maskprune.data import batches
 from maskprune.influence import (
     ChannelScorer,
+    InfluenceSum,
     StrategyState,
     binarize,
     capture_influence,
@@ -103,6 +104,7 @@ class TestC01InfluenceAccumulator:
 
         worst = 0.0
         for kind, layer in layers:
+            acc = InfluenceSum(layer)
             manual = np.zeros_like(layer.weight.data)
             samples = 0
             for _ in range(2):
@@ -115,32 +117,37 @@ class TestC01InfluenceAccumulator:
                     x = rng.standard_normal((n, layer.in_channels))
                 out = layer.forward(x)
                 layer.backward(rng.standard_normal(out.shape))
+                acc.add(n)
                 manual += layer.weight.grad * layer.weight.data
                 samples += n
-            worst = max(worst, float(np.max(np.abs(manual - layer.mask_grad))))
-            assert layer.mask_samples == samples
+            worst = max(worst, float(np.max(np.abs(manual - acc.total))))
+            assert acc.samples == samples
 
         # independent anchor: the accumulator against finite differences of
-        # the mask entries themselves (the loss is linear in each entry, so
-        # a central difference is exact up to rounding)
+        # the mask entries themselves, d/de L(w[idx] * (1 + e)) at e = 0 (the
+        # loss is linear in each entry, so a central difference is exact up
+        # to rounding)
         conv = make_conv(3, 4, 3, padding=1, seed=7)
         x = np.random.default_rng(7).standard_normal((2, 3, 8, 8))
         proj = np.random.default_rng(8).standard_normal((2, 4, 8, 8))
+        acc = InfluenceSum(conv)
         conv.forward(x)
         conv.backward(proj)
+        acc.add(x.shape[0])
+        w = conv.weight.data
         idx_rng = np.random.default_rng(9)
         fd_worst = 0.0
         for _ in range(5):
-            idx = tuple(int(idx_rng.integers(0, s)) for s in conv.mask.shape)
+            idx = tuple(int(idx_rng.integers(0, s)) for s in w.shape)
             h = 1e-5
-            conv.mask[idx] += h
+            w0 = w[idx]
+            w[idx] = w0 * (1 + h)
             up = float((conv.forward(x) * proj).sum())
-            conv.mask[idx] -= 2 * h
+            w[idx] = w0 * (1 - h)
             dn = float((conv.forward(x) * proj).sum())
-            conv.mask[idx] += h
+            w[idx] = w0
             fd = (up - dn) / (2 * h)
-            fd_worst = max(fd_worst, rel_err(np.asarray(fd),
-                                             np.asarray(conv.mask_grad[idx])))
+            fd_worst = max(fd_worst, rel_err(np.asarray(fd), np.asarray(acc.total[idx])))
 
         ok = worst <= 1e-10 and fd_worst <= 1e-8
         verdict(capsys, ok, "C1 influence accumulator",
@@ -159,9 +166,7 @@ class TestC02FirstOrderFidelity:
         model = trainer.model
 
         x, y = next(batches(trainer.train_ds, 256, 0, cfg.seed, train=False))
-        for ref in trainer.prunable.values():
-            ref.layer.mask_grad = np.zeros_like(ref.layer.mask_grad)
-            ref.layer.mask_samples = 0
+        sums = {name: InfluenceSum(ref.layer) for name, ref in trainer.prunable.items()}
 
         def probe_loss():
             return softmax_cross_entropy(model.forward(x, train=True,
@@ -170,8 +175,9 @@ class TestC02FirstOrderFidelity:
         loss0, grad = probe_loss()
         model.backward(grad)
         slopes = {}
-        for name, ref in trainer.prunable.items():
-            m = capture_influence(ref.layer, name)
+        for name, acc in sums.items():
+            acc.add(x.shape[0])
+            m = capture_influence(acc, name)
             assert m.samples == 256
             # accumulated per-example influence times the example count is
             # the loss derivative w.r.t. a multiplicative weight perturbation

@@ -155,17 +155,20 @@ def _residual(rng, downsample):
                          BatchNorm2d(cout), ds_conv, BatchNorm2d(cout) if downsample else None)
 
 
-# soft gates on the gated layer: with an all-open gate and nothing after it, a
-# block hands back the activation it keeps for its gate gradient
+# every gated block with nothing after its gate runs open and soft: an open
+# gate is a no-op pass, and the block must not hand back the activation it
+# keeps for its gate gradient
 BLOCKS = {
     "conv-bn-pool-relu": (lambda rng: ConvBlock("c", _conv(rng), BatchNorm2d(4), pool=2),
                           (2, 3, 6, 6)),
     "conv-bn-pool-relu-soft": (lambda rng: ConvBlock(
         "c", _soft_gate(_conv(rng), rng), BatchNorm2d(4), pool=2), (2, 3, 6, 6)),
-    "conv-gate": (lambda rng: ConvBlock("c", _soft_gate(_conv(rng), rng), bn=None, relu=False),
-                  (2, 3, 5, 5)),
+    "conv-gate": (lambda rng: ConvBlock("c", _conv(rng), bn=None, relu=False), (2, 3, 5, 5)),
+    "conv-gate-soft": (lambda rng: ConvBlock("c", _soft_gate(_conv(rng), rng), bn=None,
+                                             relu=False), (2, 3, 5, 5)),
     "linear-relu": (lambda rng: LinearBlock("f", _linear(rng), relu=True), (3, 12)),
-    "linear-gate": (lambda rng: LinearBlock("f", _soft_gate(_linear(rng), rng)), (3, 12)),
+    "linear-gate": (lambda rng: LinearBlock("f", _linear(rng)), (3, 12)),
+    "linear-gate-soft": (lambda rng: LinearBlock("f", _soft_gate(_linear(rng), rng)), (3, 12)),
     "residual": (lambda rng: _residual(rng, False), (2, 4, 6, 6)),
     "residual-downsample-soft": (lambda rng: _residual(rng, True), (2, 4, 6, 6)),
     "pool": (lambda rng: PoolBlock(), (2, 3, 4, 4)),

@@ -13,6 +13,7 @@ from maskprune.influence import (
     BINARY_CUTOFF,
     ChannelScorer,
     InfluenceMap,
+    InfluenceSum,
     StrategyState,
     binarize,
     capture_influence,
@@ -34,20 +35,23 @@ def make_conv(cin, cout, k, seed=0):
 class TestCapture:
     def test_normalizes_by_samples_and_resets(self):
         conv = make_conv(2, 3, 3, seed=1)
+        acc = InfluenceSum(conv)
         rng = np.random.default_rng(2)
         for _ in range(2):
             conv.forward(rng.normal(size=(4, 2, 5, 5)))
             conv.backward(rng.normal(size=(4, 3, 5, 5)))
-        raw = conv.mask_grad.copy()
-        m = capture_influence(conv, "conv")
+            acc.add(4)
+        raw = acc.total.copy()
+        m = capture_influence(acc, "conv")
         assert m.layer == "conv" and m.samples == 8
         assert_allclose(m.values, raw / 8.0, rtol=0, atol=0)
-        assert conv.mask_samples == 0 and (conv.mask_grad == 0).all()
+        assert acc.samples == 0 and (acc.total == 0).all()
+        assert not np.shares_memory(m.values, acc.total)
 
     def test_empty_accumulator_rejected(self):
         conv = make_conv(2, 3, 3)
         with pytest.raises(ShapeError):
-            capture_influence(conv, "conv")
+            capture_influence(InfluenceSum(conv), "conv")
 
     def test_degate_rescales_by_applied_gate(self):
         conv = make_conv(2, 4, 3, seed=3)
@@ -56,12 +60,15 @@ class TestCapture:
         conv.gate[:] = gates
         rng = np.random.default_rng(4)
         x, g = rng.normal(size=(2, 2, 4, 4)), rng.normal(size=(2, 4, 4, 4))
+        acc = InfluenceSum(conv)
         block.forward(x)
         block.backward(g)
-        raw = conv.mask_grad.copy()
+        acc.add(2)
+        raw = acc.total.copy()
         block.forward(x)
         block.backward(g)
-        m = capture_influence(conv, "conv", degate=True, delta=1e-3)
+        acc.add(2)
+        m = capture_influence(acc, "conv", degate=True, delta=1e-3)
         # channels with a healthy gate are divided by it; the one gated
         # below the floor is frozen anyway and stays as measured
         want = raw.copy()
@@ -70,18 +77,19 @@ class TestCapture:
         assert_allclose(m.values, want / 2.0, rtol=1e-12)
 
     def test_mask_grad_scales_linearly_with_gate(self):
-        # the instrumentation sees the gated weights, so a half-open gate
+        # the weight gradient passes through the gate, so a half-open gate
         # halves the measured influence; degate undoes exactly that
         conv = make_conv(1, 2, 3, seed=5)
         block = ConvBlock("c", conv, bn=None, relu=False)      # conv -> gate
+        acc = InfluenceSum(conv)
         rng = np.random.default_rng(6)
         x, g = rng.normal(size=(2, 1, 4, 4)), rng.normal(size=(2, 2, 4, 4))
         conv.gate[:] = 1.0
-        block.forward(x); block.backward(g)
-        full = capture_influence(conv, "c").values
+        block.forward(x); block.backward(g); acc.add(2)
+        full = capture_influence(acc, "c").values
         conv.gate[:] = np.array([1.0, 0.5])
-        block.forward(x); block.backward(g)
-        half = capture_influence(conv, "c").values
+        block.forward(x); block.backward(g); acc.add(2)
+        half = capture_influence(acc, "c").values
         assert_allclose(half[1], 0.5 * full[1], rtol=1e-12)
         assert_allclose(half[0], full[0], rtol=1e-12)
 

@@ -1,8 +1,9 @@
 """Layer-level tests.
 
 The backward passes are all validated against central finite differences of
-the actual forward computation, and the mask-gradient accumulator against the
-hand-derivable scalar case plus a finite-difference probe of the mask itself.
+the actual forward computation, and the influence sum (the mask gradient at
+m = 1, ``w * dL/dw``) against the hand-derivable scalar case plus a
+finite-difference probe of a multiplicative weight perturbation.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maskprune.errors import DataError
+from maskprune.influence import InfluenceSum
 from maskprune.layers import (
     BatchNorm2d,
     Flatten,
@@ -96,7 +98,7 @@ class TestMaskedConv2d:
         out = conv.forward(x)
         # independent check through the free function
         from maskprune.tensor import conv2d_forward
-        want = conv2d_forward(x, conv.weight.data * conv.mask, conv.bias.data, 1, 1)
+        want = conv2d_forward(x, conv.weight.data, conv.bias.data, 1, 1)
         assert_allclose(out, want, rtol=0, atol=0)
 
     def test_weight_and_input_gradients(self):
@@ -121,21 +123,25 @@ class TestMaskedConv2d:
         conv.weight.data[:] = 3.0
         conv.bias.data[:] = 0.0
         x = np.full((1, 1, 1, 1), 2.0)
+        acc = InfluenceSum(conv)
         out = conv.forward(x)
         assert out.reshape(()) == 6.0
         conv.backward(out.copy())  # dloss/dy = y
-        assert_allclose(conv.mask_grad.reshape(()), 36.0, rtol=0, atol=0)
-        assert conv.mask_samples == 1
+        acc.add(1)
+        assert_allclose(acc.total.reshape(()), 36.0, rtol=0, atol=0)
+        assert acc.samples == 1
 
     def test_mask_gradient_equals_weight_grad_times_weight(self):
         rng = np.random.default_rng(9)
         conv = make_conv(3, 5, 3, stride=1, padding=1, seed=3)
         x = rng.normal(size=(4, 3, 6, 6))
         g = rng.normal(size=(4, 5, 6, 6))
+        acc = InfluenceSum(conv)
         conv.forward(x)
         conv.backward(g)
-        # with an all-ones mask, grad wrt masked weights == grad wrt weights
-        assert_allclose(conv.mask_grad, conv.weight.grad * conv.weight.data,
+        acc.add(4)
+        # at m = 1, grad wrt the masked weight m*w == grad wrt the weight
+        assert_allclose(acc.total, conv.weight.grad * conv.weight.data,
                         rtol=0, atol=1e-10)
 
     def test_mask_gradient_finite_difference_probe(self):
@@ -143,35 +149,41 @@ class TestMaskedConv2d:
         conv = make_conv(2, 2, 3, stride=1, padding=1, seed=4)
         x = rng.normal(size=(2, 2, 4, 4))
         proj = rng.normal(size=(2, 2, 4, 4))
+        acc = InfluenceSum(conv)
         conv.forward(x)
         conv.backward(proj)
-        got = conv.mask_grad.copy()
+        acc.add(2)
+        got = acc.total.copy()
+        w = conv.weight.data
 
-        def loss():
-            return float((conv.forward(x) * proj).sum())
+        def loss(idx, m):
+            # the loss with mask entry m on weight idx: w[idx] -> m * w[idx]
+            w0 = w[idx]
+            w[idx] = m * w0
+            value = float((conv.forward(x) * proj).sum())
+            w[idx] = w0
+            return value
 
         # probe a handful of mask entries directly
         for idx in [(0, 0, 0, 0), (1, 1, 2, 2), (0, 1, 1, 0)]:
             h = 1e-6
-            conv.mask[idx] = 1 + h
-            up = loss()
-            conv.mask[idx] = 1 - h
-            dn = loss()
-            conv.mask[idx] = 1.0
+            up, dn = loss(idx, 1 + h), loss(idx, 1 - h)
             assert abs((up - dn) / (2 * h) - got[idx]) <= 1e-5 * max(1.0, abs(got[idx]))
 
     def test_mask_grad_accumulates_across_batches(self):
         rng = np.random.default_rng(21)
         conv = make_conv(2, 3, 3, stride=1, padding=1, seed=5)
-        total = np.zeros_like(conv.mask_grad)
+        acc = InfluenceSum(conv)
+        total = np.zeros_like(conv.weight.data)
         for _ in range(3):
             x = rng.normal(size=(2, 2, 5, 5))
             g = rng.normal(size=(2, 3, 5, 5))
             conv.forward(x)
             conv.backward(g)
+            acc.add(2)
             total += conv.weight.grad * conv.weight.data
-        assert_allclose(conv.mask_grad, total, rtol=0, atol=1e-10)
-        assert conv.mask_samples == 6
+        assert_allclose(acc.total, total, rtol=0, atol=1e-10)
+        assert acc.samples == 6
 
     def test_gate_gradient_when_applied(self):
         rng = np.random.default_rng(33)
@@ -211,7 +223,7 @@ class TestMaskedConv2d:
         assert blocks[0].backward(g) is not None
         assert blocks[1].backward(g, input_grad=False) is None
         for a, b in ((full.weight.grad, skip.weight.grad), (full.bias.grad, skip.bias.grad),
-                     (full.mask_grad, skip.mask_grad), (full.gate_grad, skip.gate_grad)):
+                     (full.gate_grad, skip.gate_grad)):
             assert np.array_equal(a, b)
 
     def test_eval_forward_keeps_no_columns_and_backward_matches_train_path(self):
@@ -224,10 +236,9 @@ class TestMaskedConv2d:
             block = ConvBlock("conv", conv, bn=None, relu=False)   # conv -> gate
             conv.gate[:] = [1.0, 0.5, 0.0, 0.25]
             block.forward(x, train=train)
-            assert (conv._cache[2] is None) == (not train)
+            assert (conv._cache[1] is None) == (not train)
             gx = block.backward(g)
-            grads.append((gx, conv.weight.grad, conv.bias.grad, conv.gate_grad,
-                          conv.mask_grad))
+            grads.append((gx, conv.weight.grad, conv.bias.grad, conv.gate_grad))
         for a, b in zip(*grads):
             assert_allclose(a, b, rtol=0, atol=0)
 
@@ -253,11 +264,13 @@ class TestMaskedLinear:
         lin = make_linear(5, 3, seed=8)
         x = rng.normal(size=(4, 5))
         g = rng.normal(size=(4, 3))
+        acc = InfluenceSum(lin)
         lin.forward(x)
         lin.backward(g)
-        assert_allclose(lin.mask_grad, lin.weight.grad * lin.weight.data,
+        acc.add(4)
+        assert_allclose(acc.total, lin.weight.grad * lin.weight.data,
                         rtol=0, atol=1e-10)
-        assert lin.mask_samples == 4
+        assert acc.samples == 4
 
 
 class TestBatchNorm:

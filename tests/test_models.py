@@ -108,38 +108,20 @@ class TestStateRoundTrip:
         for k, v in m.state_arrays().items():
             assert_allclose(v, before[k], rtol=0, atol=0)
 
-
-    @staticmethod
-    def live_arrays(m):
-        """The arrays a model owns (``state_arrays`` builds ``mask_samples``
-        afresh) plus every mask."""
-        out = {k: v for k, v in m.state_arrays().items() if not k.endswith("mask_samples")}
-        out.update({f"{n}.mask": layer.mask for n, layer in m._named_layers()
-                    if hasattr(layer, "mask")})
-        return out
-
     def test_loads_in_place_into_independent_arrays(self):
         m = build_model("tiny-cnn", 1, 28, 10, seed=0)
         src = build_model("tiny-cnn", 1, 28, 10, seed=1)
         src.forward(np.random.default_rng(0).normal(size=(2, 1, 28, 28)), train=True)
-        before = self.live_arrays(m)
+        before = m.state_arrays()
         state = src.state_arrays()
         m.load_state_arrays(state)
-        after = self.live_arrays(m)
+        after = m.state_arrays()
         assert sorted(after) == sorted(before)
         for k in before:
             assert after[k] is before[k], k
             assert not any(np.shares_memory(after[k], v) for v in state.values()), k
         for k, v in state.items():
             assert_allclose(m.state_arrays()[k], v, rtol=0, atol=0)
-
-    def test_mask_is_reset_to_ones(self):
-        m = build_model("tiny-cnn", 1, 28, 10, seed=0)
-        state = {k: v.copy() for k, v in m.state_arrays().items()}
-        conv = m.blocks[1].conv
-        conv.mask[0] = 0.0
-        m.load_state_arrays(state)
-        assert (conv.mask == 1.0).all()
 
     def test_velocity_follows_the_state(self):
         m = build_model("tiny-cnn", 1, 28, 10, seed=0)
@@ -298,7 +280,6 @@ class TestPooledConvBlock:
         assert np.array_equal(gx, want_gx)
         grads = [(block.conv.weight.grad, ref.conv.weight.grad),
                  (block.conv.bias.grad, ref.conv.bias.grad),
-                 (block.conv.mask_grad, ref.conv.mask_grad),
                  (block.conv.gate_grad, ref.conv.gate_grad)]
         if block.bn is not None:
             grads += [(block.bn.gamma.grad, ref.bn.gamma.grad),
@@ -333,7 +314,6 @@ class TestModelBackward:
         for (pa, _), (pb, _) in zip(skipped.param_groups(), full.param_groups()):
             assert np.array_equal(pa.grad, pb.grad)
         for ra, rb in zip(skipped.prunable(), full.prunable()):
-            assert np.array_equal(ra.layer.mask_grad, rb.layer.mask_grad)
             assert np.array_equal(ra.layer.gate_grad, rb.layer.gate_grad)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from maskprune.checkpoint import load_checkpoint, save_checkpoint
 from maskprune.config import ExperimentConfig
 from maskprune.data import synthetic_dataset
 from maskprune.errors import ConfigError, NumericalError
@@ -301,6 +302,45 @@ class TestPipelineSmall:
         assert_allclose(other.model.forward(x, train=False),
                         trainer.model.forward(x, train=False), rtol=0, atol=0)
 
+    def test_state_with_old_influence_sums_loads_and_resumes_the_same(self, tmp_path):
+        """States once stored every masked layer's mask-gradient sum as
+        ``<layer>.mask_grad`` and ``<layer>.mask_samples``; such a checkpoint
+        loads and resumes byte for byte like the same one without them."""
+        cfg = quick_config(tmp_path, rate=0.25)
+        trainer = make_trainer(cfg)
+        trainer.run(until="measure")
+        path = trainer.save(tmp_path / "current.ckpt")
+        meta, arrays = load_checkpoint(path)
+        rng = np.random.default_rng(0)
+        old = dict(arrays)
+        for key in arrays:
+            if key.endswith(".gate"):
+                layer = key[:-len(".gate")]
+                old[f"{layer}.mask_grad"] = rng.normal(size=arrays[f"{layer}.weight"].shape)
+                old[f"{layer}.mask_samples"] = np.array(224.0)
+        assert len(old) > len(arrays)
+        old_path = save_checkpoint(tmp_path / "old.ckpt", meta, old)
+
+        def same(a, b):
+            assert a.keys() == b.keys()
+            for k in a:
+                assert a[k].dtype == b[k].dtype and a[k].shape == b[k].shape, k
+                assert a[k].tobytes() == b[k].tobytes(), k
+
+        runs = []
+        for p in (path, old_path):
+            other = make_trainer(cfg)
+            other.load(p)
+            loaded = {k: v.copy() for k, v in other.model.state_arrays().items()}
+            other.run(until="prune:conv1")
+            runs.append((loaded, other))
+        (loaded_a, a), (loaded_b, b) = runs
+        same(loaded_a, loaded_b)
+        assert a.strategies["conv1"].status == "frozen"
+        same(a.model.state_arrays(), b.model.state_arrays())
+        same({n: m.values for n, m in a.maps.items()}, {n: m.values for n, m in b.maps.items()})
+        assert a.global_epoch == b.global_epoch
+
     def test_load_rejects_model_mismatch(self, tmp_path):
         cfg = quick_config(tmp_path)
         trainer = make_trainer(cfg)
@@ -353,7 +393,6 @@ class TestNonFiniteGuard:
         after = trainer.model.state_arrays()
         for k, v in before.items():
             # gates take the soft keep vector before the forward pass; the
-            # accumulators and running statistics are not weights
-            if not k.endswith(("gate", "mask_grad", "mask_samples", "running_mean",
-                               "running_var")):
+            # running statistics are not weights
+            if not k.endswith(("gate", "running_mean", "running_var")):
                 assert_allclose(after[k], v, rtol=0, atol=0, equal_nan=True)
