@@ -302,6 +302,20 @@ class TestPipelineSmall:
         assert_allclose(other.model.forward(x, train=False),
                         trainer.model.forward(x, train=False), rtol=0, atol=0)
 
+    def test_prune_stage_folds_the_active_layers_influence_into_its_map(self, tmp_path):
+        """Between anneal windows the influence summed over the epoch's steps
+        is folded into the active layer's map; no other map moves."""
+        trainer = make_trainer(quick_config(tmp_path, rate=0.25, prune_epochs=2))
+        trainer.run(until="measure")
+        before = {n: (m.samples, m.values.copy()) for n, m in trainer.maps.items()}
+        trainer.run(until="prune:conv1")
+        epoch = trainer.steps_per_epoch() * trainer.cfg.batch_size
+        for name, m in trainer.maps.items():
+            samples, values = before[name]
+            moved = name == "conv1"
+            assert m.samples == samples + (epoch if moved else 0), name
+            assert np.array_equal(m.values, values) != moved, name
+
     def test_state_with_old_influence_sums_loads_and_resumes_the_same(self, tmp_path):
         """States once stored every masked layer's mask-gradient sum as
         ``<layer>.mask_grad`` and ``<layer>.mask_samples``; such a checkpoint
