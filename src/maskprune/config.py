@@ -3,7 +3,9 @@
 One ``key = value`` assignment per line, ``#`` starts a comment.  Every key
 must be a known field of :class:`ExperimentConfig`; unknown keys are rejected
 by name so typos cannot silently fall back to defaults.  Values are parsed
-according to the field's declared type.
+according to the field's declared type.  Keys of settings now fixed in code
+(:data:`RETIRED_KEYS`) are accepted only at the value in force, so older
+configs and checkpoints still load but never silently change a run.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .influence import BINARY_CUTOFF
+from .layers import DELTA_FREEZE
+from .pruning import STRATEGY_WEIGHT_SCALE
 
 
 @dataclass
@@ -38,21 +43,14 @@ class ExperimentConfig:
 
     # compression
     rate: float = 0.4                   # fraction of channels to remove
-    influence_mode: str = "absolute"    # absolute | signed channel ranking
-    scorer_input: str = "absolute"      # feed |map| or raw map to the scorer
     ema_decay: float = 0.9
-    binary_cutoff: float = 1e-6
     delta_bin: float = 0.01
     window: int = 3
-    delta_freeze: float = 1e-3
-    strategy_weight_scale: float = 5.0
     score_margin: float = 14.0          # initial score-spread normalization
 
-    # sharpness anneal (separate schedules for conv and fc families)
+    # sharpness anneal (one schedule for conv and fc layers)
     anneal_start: float = 0.01
     anneal_end_factor: float = 100.0
-    anneal_start_fc: float = 0.01
-    anneal_end_factor_fc: float = 100.0
     stall_boost: float = 2.0
     stall_patience: int = 3
     strategy_eval_every: int = 20
@@ -82,21 +80,21 @@ class ExperimentConfig:
             raise ConfigError(f"rate must be in [0, 1), got {self.rate}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.anneal_start <= 0 or self.anneal_start_fc <= 0:
+        if self.anneal_start <= 0:
             raise ConfigError("anneal_start must be positive")
-        if self.anneal_end_factor < 1 or self.anneal_end_factor_fc < 1:
+        if self.anneal_end_factor < 1:
             raise ConfigError("anneal_end_factor must be >= 1")
         if not (0.0 <= self.ema_decay < 1.0):
             raise ConfigError(f"ema_decay must be in [0, 1), got {self.ema_decay}")
         if self.window < 1 or self.stall_patience < 1:
             raise ConfigError("window and stall_patience must be >= 1")
-        if self.influence_mode not in ("absolute", "signed"):
-            raise ConfigError(f"influence_mode must be absolute|signed, got {self.influence_mode}")
-        if self.scorer_input not in ("absolute", "signed"):
-            raise ConfigError(f"scorer_input must be absolute|signed, got {self.scorer_input}")
-        for name in ("baseline_epochs", "prune_epochs", "finetune_epochs"):
+        for name in ("baseline_epochs", "prune_epochs", "finetune_epochs", "train_limit",
+                     "test_limit", "synthetic_train", "synthetic_test"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("eval_batch", "log_every", "strategy_eval_every", "max_prune_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         return self
 
     def to_dict(self) -> dict:
@@ -107,12 +105,45 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
+        retired = {k: d.pop(k) for k in list(d) if k in RETIRED_KEYS}
+        unknown = sorted(set(d) - set(_FIELDS))
+        if unknown:
+            raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
         if "lr_milestones" in d:
             d["lr_milestones"] = tuple(d["lr_milestones"])
-        return cls(**d).validate()
+        return _check_retired(cls(**d).validate(), retired)
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _in_force(cfg: ExperimentConfig) -> dict:
+    """The value each retired key must hold under ``cfg``: the fc anneal pair
+    follows the conv pair, the rest are module constants."""
+    return {"influence_mode": "absolute", "scorer_input": "absolute",
+            "binary_cutoff": BINARY_CUTOFF, "delta_freeze": DELTA_FREEZE,
+            "strategy_weight_scale": STRATEGY_WEIGHT_SCALE,
+            "anneal_start_fc": cfg.anneal_start, "anneal_end_factor_fc": cfg.anneal_end_factor}
+
+
+#: keys of settings that are no longer configurable
+RETIRED_KEYS = frozenset(_in_force(ExperimentConfig()))
+
+
+def _check_retired(cfg: ExperimentConfig, retired: dict) -> ExperimentConfig:
+    """Accept each retired key (raw text or a loaded value) only at the value
+    in force; refuse any other, naming the key and both values."""
+    in_force = _in_force(cfg)
+    for key, value in retired.items():
+        want = in_force[key]
+        try:
+            same = type(want)(value) == want
+        except (TypeError, ValueError):
+            same = False
+        if not same:
+            raise ConfigError(f"'{key}' is no longer configurable: fixed at {want!r}, "
+                              f"got {value!r}")
+    return cfg
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -143,6 +174,7 @@ def _parse_value(key: str, raw: str, line_no: int):
 def parse_config(path) -> ExperimentConfig:
     """Read a flat key-value config file; unknown keys are an error."""
     cfg = ExperimentConfig()
+    retired = {}
     text = Path(path).read_text()
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -151,10 +183,13 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in RETIRED_KEYS:
+            retired[key] = raw
+            continue
         if key not in _FIELDS:
             raise ConfigError(f"line {line_no}: unknown configuration key '{key}'")
         setattr(cfg, key, _parse_value(key, raw, line_no))
-    return cfg.validate()
+    return _check_retired(cfg.validate(), retired)
 
 
 def config_text(cfg: ExperimentConfig) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .layers import Parameter
+from .layers import DELTA_FREEZE, Parameter
 
 #: a soft keep value below this is treated as a hard zero
 BINARY_CUTOFF = 1e-6
@@ -66,22 +66,23 @@ class InfluenceSum:
 
 
 def capture_influence(acc: InfluenceSum, name: str | None = None,
-                      degate: bool = False, delta: float = 1e-3) -> InfluenceMap:
+                      degate: bool = False) -> InfluenceMap:
     """Drain an influence sum into an InfluenceMap (the per-example mean).
 
     The sum is zeroed and the sample counter reset.  With ``degate`` the slab
     of every channel is divided by the layer's current gate value (channels
-    gated below ``delta`` are left as-is): during soft gating the influence
-    scales linearly with the applied gate, which is instrumentation, not
-    importance, so measurements stay commensurate with a threshold that was
-    calibrated on the ungated network.
+    gated below :data:`~maskprune.layers.DELTA_FREEZE`, which are frozen, are
+    left as-is): during soft gating the influence scales linearly with the
+    applied gate, which is instrumentation, not importance, so measurements
+    stay commensurate with a threshold that was calibrated on the ungated
+    network.
     """
     if acc.samples <= 0:
         raise ShapeError("influence capture with empty accumulator (no samples seen)")
     values = acc.total / float(acc.samples)
     if degate:
         gate = acc.layer.gate
-        scale = np.where(gate >= delta, gate, 1.0)
+        scale = np.where(gate >= DELTA_FREEZE, gate, 1.0)
         values = values / scale.reshape((-1,) + (1,) * (values.ndim - 1))
     fresh = InfluenceMap(name or "layer", values, acc.samples)
     acc.total.fill(0.0)
@@ -89,19 +90,11 @@ def capture_influence(acc: InfluenceSum, name: str | None = None,
     return fresh
 
 
-def channel_influence(infl_map: InfluenceMap, mode: str = "absolute") -> ChannelInfluence:
-    """Reduce a per-weight map to one number per channel (full-slab sum).
-
-    ``absolute`` (the default) sums magnitudes, which is stable when positive
-    and negative per-weight influences would otherwise cancel; ``signed``
-    sums the raw values.
-    """
-    if mode == "absolute":
-        vals = np.abs(infl_map.values)
-    elif mode == "signed":
-        vals = infl_map.values
-    else:
-        raise ShapeError(f"unknown influence mode '{mode}' (expected absolute|signed)")
+def channel_influence(infl_map: InfluenceMap) -> ChannelInfluence:
+    """Reduce a per-weight map to one number per channel: the sum of
+    magnitudes over the channel's slab, so positive and negative per-weight
+    influences cannot cancel."""
+    vals = np.abs(infl_map.values)
     axes = tuple(range(1, vals.ndim))
     return ChannelInfluence(infl_map.layer, vals.sum(axis=axes))
 
@@ -169,7 +162,7 @@ class ChannelScorer:
             dev = np.max(np.abs(s)) or 1.0
         self.kernel.data *= target_spread / dev
 
-    def param_groups(self, delta_freeze: float = 0.0):
+    def param_groups(self):
         yield self.kernel, None
         yield self.bias, None
 

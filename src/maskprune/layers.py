@@ -4,11 +4,12 @@ The two weighted layer types, ``MaskedConv2d`` and ``MaskedLinear``, are a
 plain conv/linear layer plus a per-output-channel ``gate`` in [0, 1].  Gates
 are written by the pruning controller (soft values while a strategy anneals,
 hard 0/1 afterwards) and scale the channel's activations; a gate below
-``delta_freeze`` also freezes the channel's weights and its batch-norm
+:data:`DELTA_FREEZE` also freezes the channel's weights and its batch-norm
 statistics ("false pruning": the channel stays in memory but stops
-participating).  The layer only stores the gate and its gradient
-``gate_grad``: the block that owns the layer applies the gate after its batch
-norm and fills ``gate_grad`` (see :mod:`maskprune.models`).
+participating), and cost accounting counts the channel as removed.  The layer
+only stores the gate and its gradient ``gate_grad``: the block that owns the
+layer applies the gate after its batch norm and fills ``gate_grad`` (see
+:mod:`maskprune.models`).
 
 The layers are named for the paper's multiplicative weight mask, but they
 keep none: a weight's influence, the loss gradient w.r.t. its mask entry at
@@ -25,6 +26,10 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 from .tensor import _as_array, conv2d_backward, conv2d_forward
+
+#: a channel whose gate is below this is frozen: no weight or batch-norm
+#: statistics update, no influence de-gating, no cost
+DELTA_FREEZE = 1e-3
 
 
 class Parameter:
@@ -59,8 +64,6 @@ def _gate_grad(grad_out: np.ndarray, pre_gate: np.ndarray) -> np.ndarray:
 
 class MaskedConv2d:
     """2-D convolution with a per-filter gate."""
-
-    kind = "conv"
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, stride: int = 1, padding: int = 0):
         weight = np.asarray(weight, dtype=np.float64)
@@ -105,8 +108,8 @@ class MaskedConv2d:
             input_grad=input_grad)
         return grad_x
 
-    def param_groups(self, delta_freeze: float = 0.0):
-        frozen = self.gate < delta_freeze if delta_freeze > 0 else None
+    def param_groups(self):
+        frozen = self.gate < DELTA_FREEZE
         yield self.weight, frozen
         yield self.bias, frozen
 
@@ -116,8 +119,6 @@ class MaskedLinear:
 
     A "channel" of a linear layer is one output unit (one weight row).
     """
-
-    kind = "fc"
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
         weight = np.asarray(weight, dtype=np.float64)
@@ -154,8 +155,8 @@ class MaskedLinear:
         self.bias.grad = g.sum(axis=0)
         return g @ self.weight.data if input_grad else None
 
-    def param_groups(self, delta_freeze: float = 0.0):
-        frozen = self.gate < delta_freeze if delta_freeze > 0 else None
+    def param_groups(self):
+        frozen = self.gate < DELTA_FREEZE
         yield self.weight, frozen
         yield self.bias, frozen
 
@@ -236,7 +237,7 @@ class BatchNorm2d:
         gx *= scale
         return gx
 
-    def param_groups(self, delta_freeze: float = 0.0):
+    def param_groups(self):
         yield self.gamma, None
         yield self.beta, None
 
@@ -369,17 +370,16 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad
 
 
-def sgd_step(module, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4,
-             delta_freeze: float = 1e-3) -> None:
+def sgd_step(module, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4) -> None:
     """One SGD-with-momentum update over every parameter of ``module``.
 
-    ``module`` is anything exposing ``param_groups(delta_freeze)`` yielding
+    ``module`` is anything exposing ``param_groups()`` yielding
     ``(Parameter, frozen_rows)`` pairs.  The velocity update is
     ``v <- momentum * v + grad + weight_decay * w`` followed by
-    ``w <- w - lr * v``; rows flagged frozen (gate below ``delta_freeze``)
+    ``w <- w - lr * v``; rows flagged frozen (gate below :data:`DELTA_FREEZE`)
     are left untouched, velocity included.
     """
-    for param, frozen in module.param_groups(delta_freeze):
+    for param, frozen in module.param_groups():
         if param.grad is None:
             continue
         if param.velocity is None:

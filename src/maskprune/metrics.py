@@ -3,9 +3,9 @@
 FLOPs counting convention: one multiply-accumulate is two FLOPs; only conv
 and linear layers are counted (bias adds, batch norm, activations, and
 pooling are excluded).  A convolution writing an Ho x Wo map therefore costs
-``Cout * Cin * Kh * Kw * Ho * Wo`` MACs.  On a gated model, channels whose
-gate is off do not count, so the numbers match what physical compaction
-produces.
+``Cout * Cin * Kh * Kw * Ho * Wo`` MACs.  On a gated model, channels gated
+below :data:`~maskprune.layers.DELTA_FREEZE` do not count, so the numbers
+match what physical compaction produces.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError
+from .layers import DELTA_FREEZE
 from .models import (
     ConvBlock,
     FlattenBlock,
@@ -31,14 +32,11 @@ from .models import (
 )
 from .tensor import conv_output_hw
 
-#: gates below this count as "off" for cost purposes (matches the freeze rule)
-GATE_OFF = 1e-3
-
 
 def _active(gate: np.ndarray | None, width: int) -> int:
     if gate is None:
         return width
-    return int((gate >= GATE_OFF).sum())
+    return int((gate >= DELTA_FREEZE).sum())
 
 
 def _conv_cost(cout: int, cin: int, kh: int, kw: int, ho: int, wo: int) -> int:
@@ -170,38 +168,33 @@ _CSV_COLUMNS = ["model", "dataset", "baseline_acc", "pruned_acc", "acc_drop",
                 "flops_reduction", "params_reduction", "r_target", "r_actual"]
 
 
-def emit_report(report: RunReport, out_dir, formats=("json", "csv")) -> list[Path]:
-    """Write the report as ``report.json`` and/or a one-row ``report.csv``.
+def emit_report(report: RunReport, out_dir) -> list[Path]:
+    """Write the report as ``report.json`` and a one-row ``report.csv``.
 
     Floats are written with full precision (repr round-trip), so parsing the
     files back reproduces every numeric field exactly.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        written.append(path)
-    if "csv" in formats:
-        path = out_dir / "report.csv"
-        row = {
-            "model": report.model,
-            "dataset": report.dataset,
-            "baseline_acc": repr(report.baseline_acc),
-            "pruned_acc": repr(report.pruned_acc),
-            "acc_drop": repr(report.acc_drop),
-            "flops_reduction": repr(report.flops_reduction),
-            "params_reduction": repr(report.params_reduction),
-            "r_target": repr(report.rate_target),
-            "r_actual": repr(report.rate_actual),
-        }
-        with open(path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=_CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerow(row)
-        written.append(path)
-    return written
+    json_path = out_dir / "report.json"
+    json_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    csv_path = out_dir / "report.csv"
+    row = {
+        "model": report.model,
+        "dataset": report.dataset,
+        "baseline_acc": repr(report.baseline_acc),
+        "pruned_acc": repr(report.pruned_acc),
+        "acc_drop": repr(report.acc_drop),
+        "flops_reduction": repr(report.flops_reduction),
+        "params_reduction": repr(report.params_reduction),
+        "r_target": repr(report.rate_target),
+        "r_actual": repr(report.rate_actual),
+    }
+    with open(csv_path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=_CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerow(row)
+    return [json_path, csv_path]
 
 
 def load_report_json(path) -> RunReport:

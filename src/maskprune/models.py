@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .layers import (
+    DELTA_FREEZE,
     BatchNorm2d,
     Flatten,
     GlobalAvgPool,
@@ -123,13 +124,12 @@ class ConvBlock:
         self.relu = ReLU() if relu else None
         self.pool = MaxPool2d(pool) if pool else None
         self.prunable = prunable
-        self.delta_freeze = 1e-3
         self._pre_gate = None
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
         z = self.conv.forward(x, train)
         if self.bn is not None:
-            mask = self.conv.gate >= self.delta_freeze if train and update_stats else None
+            mask = self.conv.gate >= DELTA_FREEZE if train and update_stats else None
             z = self.bn.forward(z, train, update_stats=update_stats, update_mask=mask)
         self._pre_gate = z
         z = _apply_channel_gate(z, self.conv.gate)
@@ -151,10 +151,10 @@ class ConvBlock:
             g = self.bn.backward(g)
         return self.conv.backward(g, input_grad)
 
-    def param_groups(self, delta_freeze: float = 0.0):
-        yield from self.conv.param_groups(delta_freeze)
+    def param_groups(self):
+        yield from self.conv.param_groups()
         if self.bn is not None:
-            yield from self.bn.param_groups(delta_freeze)
+            yield from self.bn.param_groups()
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -186,7 +186,6 @@ class LinearBlock:
         self.linear = linear
         self.relu = ReLU() if relu else None
         self.prunable = prunable
-        self.delta_freeze = 1e-3
         self._pre_gate = None
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
@@ -204,8 +203,8 @@ class LinearBlock:
         g = _apply_channel_gate(g, self.linear.gate)
         return self.linear.backward(g, input_grad)
 
-    def param_groups(self, delta_freeze: float = 0.0):
-        yield from self.linear.param_groups(delta_freeze)
+    def param_groups(self):
+        yield from self.linear.param_groups()
 
     def out_shape(self, in_shape):
         return (self.linear.out_channels,)
@@ -231,7 +230,6 @@ class ResidualBlock:
         self.relu1 = ReLU()
         self.relu2 = ReLU()
         self.prunable = True
-        self.delta_freeze = 1e-3
         self._pre_gate = None
 
     @property
@@ -240,7 +238,7 @@ class ResidualBlock:
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
         z = self.conv1.forward(x, train)
-        mask = self.conv1.gate >= self.delta_freeze if train and update_stats else None
+        mask = self.conv1.gate >= DELTA_FREEZE if train and update_stats else None
         z = self.bn1.forward(z, train, update_stats=update_stats, update_mask=mask)
         self._pre_gate = z
         z = _apply_channel_gate(z, self.conv1.gate)
@@ -270,14 +268,10 @@ class ResidualBlock:
             return None
         return gx + gs
 
-    def param_groups(self, delta_freeze: float = 0.0):
-        yield from self.conv1.param_groups(delta_freeze)
-        yield from self.bn1.param_groups(delta_freeze)
-        yield from self.conv2.param_groups(0.0)
-        yield from self.bn2.param_groups(0.0)
-        if self.ds_conv is not None:
-            yield from self.ds_conv.param_groups(0.0)
-            yield from self.ds_bn.param_groups(0.0)
+    def param_groups(self):
+        for layer in (self.conv1, self.bn1, self.conv2, self.bn2, self.ds_conv, self.ds_bn):
+            if layer is not None:
+                yield from layer.param_groups()
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -319,7 +313,7 @@ class PoolBlock:
     def backward(self, g, input_grad: bool = True):
         return self.gap.backward(g) if input_grad else None
 
-    def param_groups(self, delta_freeze: float = 0.0):
+    def param_groups(self):
         return iter(())
 
     def out_shape(self, in_shape):
@@ -341,7 +335,7 @@ class FlattenBlock:
     def backward(self, g, input_grad: bool = True):
         return self.flatten.backward(g) if input_grad else None
 
-    def param_groups(self, delta_freeze: float = 0.0):
+    def param_groups(self):
         return iter(())
 
     def out_shape(self, in_shape):
@@ -435,7 +429,6 @@ class PlainResidualBlock:
 class PrunableRef:
     name: str
     layer: object  # MaskedConv2d | MaskedLinear
-    kind: str      # "conv" | "fc"
 
 
 class Model:
@@ -463,9 +456,9 @@ class Model:
         for block in reversed(self.blocks):
             g = block.backward(g, input_grad=block is not first)
 
-    def param_groups(self, delta_freeze: float = 0.0):
+    def param_groups(self):
         for block in self.blocks:
-            yield from block.param_groups(delta_freeze)
+            yield from block.param_groups()
 
     def prunable(self) -> list[PrunableRef]:
         refs = []
@@ -473,17 +466,12 @@ class Model:
             if not getattr(block, "prunable", False):
                 continue
             if isinstance(block, ConvBlock):
-                refs.append(PrunableRef(block.name, block.conv, "conv"))
+                refs.append(PrunableRef(block.name, block.conv))
             elif isinstance(block, LinearBlock):
-                refs.append(PrunableRef(block.name, block.linear, "fc"))
+                refs.append(PrunableRef(block.name, block.linear))
             elif isinstance(block, ResidualBlock):
-                refs.append(PrunableRef(block.prunable_name, block.conv1, "conv"))
+                refs.append(PrunableRef(block.prunable_name, block.conv1))
         return refs
-
-    def set_delta_freeze(self, value: float) -> None:
-        for block in self.blocks:
-            if hasattr(block, "delta_freeze"):
-                block.delta_freeze = value
 
     # -- serialization ------------------------------------------------------
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .influence import BINARY_CUTOFF
+from .influence import binarize
 
 #: multiplier in the strategy-loss weighting rule
 STRATEGY_WEIGHT_SCALE = 5.0
@@ -158,8 +158,7 @@ class SharpnessSchedule:
         self.boost *= self.boost_factor
 
 
-def has_converged(history: list[np.ndarray], delta_bin: float = 0.01,
-                  window: int = 3, cutoff: float = BINARY_CUTOFF) -> bool:
+def has_converged(history: list[np.ndarray], delta_bin: float = 0.01, window: int = 3) -> bool:
     """True when the last ``window`` soft snapshots are all nearly binary and
     share one hard pattern."""
     if len(history) < window:
@@ -169,7 +168,7 @@ def has_converged(history: list[np.ndarray], delta_bin: float = 0.01,
     for soft in recent:
         if np.minimum(soft, 1.0 - soft).max() > delta_bin:
             return False
-        hard = (soft >= cutoff).astype(np.int64)
+        hard = binarize(soft)
         if pattern is None:
             pattern = hard
         elif not np.array_equal(pattern, hard):

@@ -115,17 +115,16 @@ def anchor_center(scores: np.ndarray, target: np.ndarray, sharpness: float,
 
 
 def score_strategy(scorer: ChannelScorer, state: StrategyState, sharpness: float,
-                   map_in: np.ndarray, cutoff: float = BINARY_CUTOFF) -> None:
+                   map_in: np.ndarray) -> None:
     """Set ``state.soft`` to the scorer's keep probabilities at ``sharpness``
     and ``state.hard`` to their binary pattern."""
     state.soft = scaled_sigmoid(sharpness, scorer.score(map_in), state.center)
-    state.hard = binarize(state.soft, cutoff)
+    state.hard = binarize(state.soft)
 
 
 def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: SharpnessSchedule,
                   map_in: np.ndarray, extra_grad_soft: np.ndarray | None = None,
-                  lr: float = 0.05, momentum: float = 0.9,
-                  weight_scale: float = 5.0) -> tuple[float, float]:
+                  lr: float = 0.05, momentum: float = 0.9) -> tuple[float, float]:
     """One refinement step of a layer's keep strategy.
 
     ``state.soft`` and ``state.hard`` must hold the keep vectors at the
@@ -137,14 +136,13 @@ def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: Sharpne
     """
     sharp = schedule.value()
     soft = state.soft
-    weight = lambda_value(int(state.target.sum()), state.kept, state.target.size,
-                          scale=weight_scale)
+    weight = lambda_value(int(state.target.sum()), state.kept, state.target.size)
     grad_soft = 2.0 * weight * (soft - state.target)
     if extra_grad_soft is not None:
         grad_soft = grad_soft + extra_grad_soft
     gk, gb = scorer_gradients(scorer, map_in, soft, grad_soft, sharp)
     scorer.kernel.grad, scorer.bias.grad = gk, gb
-    sgd_step(scorer, lr, momentum, weight_decay=0.0, delta_freeze=0.0)
+    sgd_step(scorer, lr, momentum, weight_decay=0.0)
     schedule.advance()
     return weight, strategy_loss(soft, state.target)
 
@@ -152,12 +150,10 @@ def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: Sharpne
 class StrategyMonitor:
     """Snapshot bookkeeping: convergence detection and the stall booster."""
 
-    def __init__(self, window: int = 3, delta_bin: float = 0.01, patience: int = 3,
-                 cutoff: float = 1e-6):
+    def __init__(self, window: int = 3, delta_bin: float = 0.01, patience: int = 3):
         self.window = window
         self.delta_bin = delta_bin
         self.patience = patience
-        self.cutoff = cutoff
         self._stalls = 0
         self._prev_hard: np.ndarray | None = None
 
@@ -174,12 +170,12 @@ class StrategyMonitor:
         entries the rest of the way down.
         """
         state.snapshot()
-        if (has_converged(state.history, self.delta_bin, self.window, self.cutoff)
+        if (has_converged(state.history, self.delta_bin, self.window)
                 and np.array_equal(state.hard, state.target)):
             return True
         softness = float(np.minimum(state.soft, 1.0 - state.soft).max())
         if (self._prev_hard is not None and np.array_equal(self._prev_hard, state.hard)
-                and softness >= self.cutoff):
+                and softness >= BINARY_CUTOFF):
             self._stalls += 1
             if self._stalls >= self.patience:
                 schedule.apply_boost()
@@ -208,6 +204,10 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         train = train.take(cfg.train_limit)
     if cfg.test_limit:
         test = test.take(cfg.test_limit)
+    if len(train) < cfg.batch_size:
+        raise ConfigError(f"train split holds {len(train)} images, fewer than one batch")
+    if len(test) == 0:
+        raise ConfigError("test split is empty")
     return train, test
 
 
@@ -218,7 +218,6 @@ class Trainer:
         self.model = model
         self.train_ds = train_ds
         self.test_ds = test_ds
-        self.model.set_delta_freeze(cfg.delta_freeze)
         self.prunable = {ref.name: ref for ref in model.prunable()}
         self.strategies: dict[str, StrategyState] = {}
         self.scorers: dict[str, ChannelScorer] = {}
@@ -260,8 +259,7 @@ class Trainer:
             state = self.strategies[active]
             layer = self.prunable[active].layer
             schedule = self._schedule
-            score_strategy(self.scorers[active], state, schedule.value(), self._map_in,
-                           cfg.binary_cutoff)
+            score_strategy(self.scorers[active], state, schedule.value(), self._map_in)
             layer.gate[:] = state.soft
         logits = self.model.forward(x, train=True)
         loss_cls, grad = softmax_cross_entropy(logits, y)
@@ -275,10 +273,10 @@ class Trainer:
             weight, s_loss = strategy_step(
                 self.scorers[active], state, schedule, self._map_in,
                 extra_grad_soft=layer.gate_grad, lr=self._scorer_lr,
-                momentum=cfg.scorer_momentum, weight_scale=cfg.strategy_weight_scale)
+                momentum=cfg.scorer_momentum)
         else:
             weight, s_loss = 0.0, 0.0
-        sgd_step(self.model, lr, cfg.momentum, cfg.weight_decay, cfg.delta_freeze)
+        sgd_step(self.model, lr, cfg.momentum, cfg.weight_decay)
         kept = self.strategies[active].kept if active else -1
         return StepMetrics(loss_cls + weight * s_loss, loss_cls, s_loss, weight,
                            self._schedule.value() if active else 0.0, kept)
@@ -325,7 +323,7 @@ class Trainer:
         for name, acc in sums.items():
             fresh = capture_influence(acc, name)
             self.maps[name] = ema_merge(None, fresh, self.cfg.ema_decay)
-            influences[name] = channel_influence(fresh, self.cfg.influence_mode).values
+            influences[name] = channel_influence(fresh).values
         return influences
 
     def _stage_measure(self, phase: Phase) -> None:
@@ -347,10 +345,6 @@ class Trainer:
         log.info("plan fixed: threshold %.6g, keeping %d of %d channels",
                  self.plan.threshold, self.plan.kept_channels, self.plan.total_channels)
 
-    def _scorer_input(self, name: str) -> np.ndarray:
-        values = self.maps[name].values
-        return np.abs(values) if self.cfg.scorer_input == "absolute" else values
-
     def _refresh_target(self, name: str) -> None:
         """Budget-preserving target refresh between anneal windows.
 
@@ -362,7 +356,7 @@ class Trainer:
         channel index).
         """
         k0 = int((self.plan.targets[name] == 0).sum())
-        infl = channel_influence(self.maps[name], self.cfg.influence_mode).values
+        infl = channel_influence(self.maps[name]).values
         target = np.ones(infl.size, dtype=np.int64)
         if k0 > 0:
             order = np.lexsort((np.arange(infl.size), infl))
@@ -378,12 +372,11 @@ class Trainer:
         state.history = []
         self._influence = InfluenceSum(ref.layer)  # fed by train_step
 
-        start = cfg.anneal_start if ref.kind == "conv" else cfg.anneal_start_fc
-        factor = cfg.anneal_end_factor if ref.kind == "conv" else cfg.anneal_end_factor_fc
         total = max(1, phase.epochs * self.steps_per_epoch())
-        self._schedule = SharpnessSchedule(start, start * factor, total,
+        self._schedule = SharpnessSchedule(cfg.anneal_start,
+                                           cfg.anneal_start * cfg.anneal_end_factor, total,
                                            boost_factor=cfg.stall_boost)
-        map_in = self._scorer_input(name)
+        map_in = np.abs(self.maps[name].values)
         scorer = ChannelScorer(map_in.shape[1:])
         scorer.rescale_for_spread(map_in, cfg.score_margin)
         self.scorers[name] = scorer
@@ -394,7 +387,7 @@ class Trainer:
         state.center = anchor_center(scores, state.target, self._schedule.value(),
                                      cfg.delta_bin)
         state.soft = scaled_sigmoid(self._schedule.value(), scores, state.center)
-        state.hard = binarize(state.soft, cfg.binary_cutoff)
+        state.hard = binarize(state.soft)
         if (np.minimum(state.soft, 1.0 - state.soft).max() <= cfg.delta_bin
                 and np.array_equal(state.hard, state.target)):
             # already binary and on target at the current sharpness: nothing
@@ -404,8 +397,7 @@ class Trainer:
             log.info("prune %s: target already satisfied, skipping", name)
             return
 
-        monitor = StrategyMonitor(cfg.window, cfg.delta_bin, cfg.stall_patience,
-                                  cfg.binary_cutoff)
+        monitor = StrategyMonitor(cfg.window, cfg.delta_bin, cfg.stall_patience)
         converged = False
         step_count = 0
         # snapshot a few times per epoch even when epochs are short, else the
@@ -431,10 +423,9 @@ class Trainer:
                 # against the fixed global threshold.  Extension epochs past
                 # the schedule keep the target fixed so the strategy can
                 # settle instead of chasing measurement drift.
-                fresh = capture_influence(self._influence, name, degate=True,
-                                          delta=cfg.delta_freeze)
+                fresh = capture_influence(self._influence, name, degate=True)
                 self.maps[name] = ema_merge(self.maps[name], fresh, cfg.ema_decay)
-                self._map_in = map_in = self._scorer_input(name)
+                self._map_in = np.abs(self.maps[name].values)
                 self._refresh_target(name)
             if epoch_i >= cfg.prune_epochs:
                 self._scorer_lr *= 0.5
@@ -448,7 +439,7 @@ class Trainer:
             raise ConvergenceError(
                 f"layer {name} did not reach a stable binary strategy within "
                 f"{cfg.max_prune_epochs} epochs", soft_keep=state.soft.copy())
-        state.hard = binarize(state.soft, cfg.binary_cutoff)
+        state.hard = binarize(state.soft)
         ref.layer.gate[:] = state.hard
         state.status = "frozen"
         log.info("prune %s frozen: kept %d/%d channels", name, state.kept,

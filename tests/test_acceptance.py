@@ -330,7 +330,7 @@ class TestC05PlantedStrategyConvergence:
                                   history_cap=3)
             state.center = anchor_center(scorer.score(map_in), target,
                                          schedule.value())
-            monitor = StrategyMonitor(3, 0.01, 3, 1e-6)
+            monitor = StrategyMonitor(3, 0.01, 3)
             converged = False
             steps = 0
             for step in range(1, 1601):

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from maskprune.checkpoint import load_checkpoint, save_checkpoint
 from maskprune.cli import main
 from maskprune.metrics import load_report_csv, load_report_json
 from maskprune.models import build_model
@@ -151,6 +152,47 @@ class TestStageChain:
         a = load_report_json(run["out"] / "report.json")
         b = load_report_json(run["tmp"] / "straight" / "report.json")
         assert a.comparable() == b.comparable()
+
+
+def reblessed(src, dst, **config):
+    """A copy of checkpoint ``src`` whose stored config is updated with
+    ``config``, with a valid digest."""
+    meta, arrays = load_checkpoint(src)
+    meta["config"].update(config)
+    return save_checkpoint(dst, meta, arrays)
+
+
+class TestCheckpointConfig:
+    def test_unknown_key_is_usage_error(self, run, tmp_path, capsys):
+        ckpt = reblessed(run["out"] / "checkpoint-final.ckpt", tmp_path / "odd.ckpt",
+                         learning_rate=0.1)
+        assert main(["eval", "--config", str(run["cfg"]), "--checkpoint", str(ckpt)]) == 1
+        assert "error: unknown configuration key(s): learning_rate" in capsys.readouterr().err
+
+    def test_retired_key_at_another_value_is_refused(self, run, tmp_path, capsys):
+        ckpt = reblessed(run["out"] / "checkpoint-measure.ckpt", tmp_path / "signed.ckpt",
+                         influence_mode="signed")
+        out = tmp_path / "resumed"
+        assert main(["prune", "--config", str(run["cfg"]), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 1
+        assert ("error: 'influence_mode' is no longer configurable: fixed at 'absolute', "
+                "got 'signed'") in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("over,message", [
+        ({"log_every": 0}, "log_every must be >= 1, got 0"),
+        ({"eval_batch": 0}, "eval_batch must be >= 1, got 0"),
+        ({"synthetic_test": 0}, "test split is empty"),
+        ({"synthetic_train": 16}, "train split holds 16 images, fewer than one batch"),
+    ], ids=["log_every", "eval_batch", "empty-test", "train-below-batch"])
+    def test_value_that_would_crash_later_is_usage_error(self, tmp_path, capsys, over,
+                                                         message):
+        cfg = write_quick_config(tmp_path, **over)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run/*.ckpt"))
 
 
 class TestInspectInfluence:

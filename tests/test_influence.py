@@ -68,7 +68,7 @@ class TestCapture:
         block.forward(x)
         block.backward(g)
         acc.add(2)
-        m = capture_influence(acc, "conv", degate=True, delta=1e-3)
+        m = capture_influence(acc, "conv", degate=True)
         # channels with a healthy gate are divided by it; the one gated
         # below the floor is frozen anyway and stays as measured
         want = raw.copy()
@@ -99,18 +99,17 @@ class TestChannelInfluence:
         vals = np.array([[[1.0, -2.0], [3.0, -4.0]],
                          [[-1.0, 1.0], [1.0, -1.0]]])[:, None]
         m = InfluenceMap("x", vals, samples=1)
-        out = channel_influence(m, "absolute")
+        out = channel_influence(m)
+        assert out.layer == "x"
         assert_allclose(out.values, [10.0, 4.0], rtol=0)
 
-    def test_signed_mode_sums_raw(self):
-        vals = np.array([[[1.0, -2.0]], [[3.0, 3.0]]])[:, None]
+    def test_opposite_signs_never_cancel(self):
+        # a slab of +-x sums to 2|x|, not 0: the ranking is by magnitude
+        vals = np.array([[[1.0, -1.0]], [[-3.0, -3.0]], [[0.0, 0.0]]])[:, None]
         m = InfluenceMap("x", vals, samples=1)
-        assert_allclose(channel_influence(m, "signed").values, [-1.0, 6.0], rtol=0)
-
-    def test_unknown_mode_rejected(self):
-        m = InfluenceMap("x", np.zeros((2, 1, 1, 1)), samples=1)
-        with pytest.raises(ShapeError):
-            channel_influence(m, "rms")
+        assert_allclose(channel_influence(m).values, [2.0, 6.0, 0.0], rtol=0)
+        m2 = InfluenceMap("fc", np.array([[2.0, -5.0], [-1.0, 1.0]]), samples=1)
+        assert_allclose(channel_influence(m2).values, [7.0, 2.0], rtol=0)
 
 
 class TestEmaMerge:

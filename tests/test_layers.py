@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from maskprune.errors import DataError
 from maskprune.influence import InfluenceSum
 from maskprune.layers import (
+    DELTA_FREEZE,
     BatchNorm2d,
     Flatten,
     GlobalAvgPool,
@@ -530,13 +531,15 @@ class TestSgdStep:
 
     def test_frozen_channels_stay_put(self):
         lin = make_linear(4, 3, seed=11)
-        lin.gate[:] = np.array([1.0, 1e-6, 1.0])   # row 1 is below delta_freeze
+        # row 1 is just below the freeze threshold, row 2 exactly at it
+        lin.gate[:] = np.array([1.0, np.nextafter(DELTA_FREEZE, 0.0), DELTA_FREEZE])
         w0 = lin.weight.data.copy()
         b0 = lin.bias.data.copy()
         lin.weight.grad = np.ones_like(w0)
         lin.bias.grad = np.ones_like(b0)
-        sgd_step(lin, lr=0.5, momentum=0.9, weight_decay=0.0, delta_freeze=1e-3)
+        sgd_step(lin, lr=0.5, momentum=0.9, weight_decay=0.0)
         assert_allclose(lin.weight.data[1], w0[1], rtol=0, atol=0)
         assert_allclose(lin.bias.data[1], b0[1], rtol=0, atol=0)
         assert (lin.weight.velocity[1] == 0).all()  # no velocity build-up either
         assert not np.allclose(lin.weight.data[0], w0[0])
+        assert not np.allclose(lin.weight.data[2], w0[2])  # at the threshold: live

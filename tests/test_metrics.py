@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from maskprune.layers import BatchNorm2d, MaskedConv2d, MaskedLinear
+from maskprune.layers import DELTA_FREEZE, BatchNorm2d, MaskedConv2d, MaskedLinear
 from maskprune.metrics import (
-    GATE_OFF,
     RunReport,
     count_flops,
     emit_report,
@@ -61,7 +60,7 @@ class TestFlopCounting:
 
     def test_gated_off_channels_do_not_count(self):
         m = single_conv_model()
-        m.blocks[0].conv.gate[:8] = GATE_OFF / 10
+        m.blocks[0].conv.gate[:8] = np.nextafter(DELTA_FREEZE, 0.0)
         cost = count_flops(m)["layers"][0]
         assert cost["macs"] == 442_368 // 2
         # the fc layer consumes only the surviving channels
@@ -70,7 +69,7 @@ class TestFlopCounting:
 
     def test_gate_at_threshold_counts(self):
         m = single_conv_model()
-        m.blocks[0].conv.gate[:] = GATE_OFF
+        m.blocks[0].conv.gate[:] = DELTA_FREEZE
         assert count_flops(m)["layers"][0]["macs"] == 442_368
 
     def test_gated_model_matches_compacted_model(self):
@@ -158,6 +157,8 @@ class TestRunReport:
         with pytest.raises(ShapeError):
             load_report_csv(path)
 
-    def test_json_only(self, tmp_path):
-        paths = emit_report(self._report(), tmp_path, formats=("json",))
-        assert [p.name for p in paths] == ["report.json"]
+    def test_writes_exactly_json_and_csv(self, tmp_path):
+        paths = emit_report(self._report(), tmp_path / "out")
+        assert paths == [tmp_path / "out" / "report.json", tmp_path / "out" / "report.csv"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.csv",
+                                                                        "report.json"]

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from maskprune.errors import ShapeError
 from maskprune.influence import StrategyState
-from maskprune.layers import BatchNorm2d, MaskedConv2d
+from maskprune.layers import DELTA_FREEZE, BatchNorm2d, MaskedConv2d, MaskedLinear
 from maskprune.models import ConvBlock, Model, PoolBlock, ResidualBlock, build_model
 from maskprune.pruning import compact
 from tests.test_layers import reference_maxpool, reference_relu
@@ -36,10 +36,13 @@ class TestBuild:
     def test_lenet(self):
         m = build_model("lenet", 1, 28, 10, seed=0)
         assert m.forward(np.zeros((2, 1, 28, 28)), train=False).shape == (2, 10)
-        kinds = [r.kind for r in m.prunable()]
+        refs = m.prunable()
         # two conv layers and the two hidden fc layers; the classifier is
         # never prunable
-        assert kinds == ["conv", "conv", "fc", "fc"]
+        assert [r.name for r in refs] == ["conv1", "conv2", "fc1", "fc2"]
+        assert [type(r.layer) for r in refs] == [MaskedConv2d, MaskedConv2d,
+                                                 MaskedLinear, MaskedLinear]
+        assert refs[2].layer is m.blocks[3].linear
 
     def test_vgg16_prunable_count(self):
         m = build_model("vgg16", 3, 32, 10, seed=0)
@@ -255,7 +258,7 @@ def reference_block_pass(block, x, g):
     conv, bn, gate = block.conv, block.bn, block.conv.gate[None, :, None, None]
     z = conv.forward(x)
     if bn is not None:
-        z = bn.forward(z, update_mask=conv.gate >= block.delta_freeze)
+        z = bn.forward(z, update_mask=conv.gate >= DELTA_FREEZE)
     relu_out, relu_back = reference_relu(z * gate)
     out, pool_back = reference_maxpool(relu_out, 2)
     gz = relu_back(pool_back(g))

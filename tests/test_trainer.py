@@ -214,6 +214,41 @@ def make_trainer(cfg):
     return Trainer(cfg, model, train, test)
 
 
+def measured_checkpoint(cfg, tmp_path):
+    """Run ``cfg`` through the measure stage; return the checkpoint path and
+    its loaded meta and arrays."""
+    trainer = make_trainer(cfg)
+    trainer.run(until="measure")
+    path = trainer.save(tmp_path / "current.ckpt")
+    return (path, *load_checkpoint(path))
+
+
+def assert_same_arrays(a, b):
+    assert a.keys() == b.keys()
+    for k in a:
+        assert a[k].dtype == b[k].dtype and a[k].shape == b[k].shape, k
+        assert a[k].tobytes() == b[k].tobytes(), k
+
+
+def assert_resumes_the_same(cfg, path, other_path):
+    """Both checkpoints load the same state and resume through
+    ``prune:conv1`` to the same state, maps and epoch, byte for byte."""
+    runs = []
+    for p in (path, other_path):
+        other = make_trainer(cfg)
+        other.load(p)
+        loaded = {k: v.copy() for k, v in other.model.state_arrays().items()}
+        other.run(until="prune:conv1")
+        runs.append((loaded, other))
+    (loaded_a, a), (loaded_b, b) = runs
+    assert_same_arrays(loaded_a, loaded_b)
+    assert a.strategies["conv1"].status == "frozen"
+    assert_same_arrays(a.model.state_arrays(), b.model.state_arrays())
+    assert_same_arrays({n: m.values for n, m in a.maps.items()},
+                       {n: m.values for n, m in b.maps.items()})
+    assert a.global_epoch == b.global_epoch
+
+
 class TestPhases:
     def test_full_schedule(self, tmp_path):
         cfg = quick_config(tmp_path, baseline_epochs=2, finetune_epochs=1)
@@ -321,10 +356,7 @@ class TestPipelineSmall:
         ``<layer>.mask_grad`` and ``<layer>.mask_samples``; such a checkpoint
         loads and resumes byte for byte like the same one without them."""
         cfg = quick_config(tmp_path, rate=0.25)
-        trainer = make_trainer(cfg)
-        trainer.run(until="measure")
-        path = trainer.save(tmp_path / "current.ckpt")
-        meta, arrays = load_checkpoint(path)
+        path, meta, arrays = measured_checkpoint(cfg, tmp_path)
         rng = np.random.default_rng(0)
         old = dict(arrays)
         for key in arrays:
@@ -334,26 +366,20 @@ class TestPipelineSmall:
                 old[f"{layer}.mask_samples"] = np.array(224.0)
         assert len(old) > len(arrays)
         old_path = save_checkpoint(tmp_path / "old.ckpt", meta, old)
+        assert_resumes_the_same(cfg, path, old_path)
 
-        def same(a, b):
-            assert a.keys() == b.keys()
-            for k in a:
-                assert a[k].dtype == b[k].dtype and a[k].shape == b[k].shape, k
-                assert a[k].tobytes() == b[k].tobytes(), k
-
-        runs = []
-        for p in (path, old_path):
-            other = make_trainer(cfg)
-            other.load(p)
-            loaded = {k: v.copy() for k, v in other.model.state_arrays().items()}
-            other.run(until="prune:conv1")
-            runs.append((loaded, other))
-        (loaded_a, a), (loaded_b, b) = runs
-        same(loaded_a, loaded_b)
-        assert a.strategies["conv1"].status == "frozen"
-        same(a.model.state_arrays(), b.model.state_arrays())
-        same({n: m.values for n, m in a.maps.items()}, {n: m.values for n, m in b.maps.items()})
-        assert a.global_epoch == b.global_epoch
+    def test_config_with_retired_keys_loads_and_resumes_the_same(self, tmp_path):
+        """Checkpoint configs once carried seven more keys for settings that
+        are now fixed; one holding them at those values loads and resumes
+        byte for byte like the same checkpoint without them."""
+        cfg = quick_config(tmp_path, rate=0.25)
+        path, meta, arrays = measured_checkpoint(cfg, tmp_path)
+        meta["config"].update(influence_mode="absolute", scorer_input="absolute",
+                              binary_cutoff=1e-6, delta_freeze=1e-3,
+                              strategy_weight_scale=5.0, anneal_start_fc=0.01,
+                              anneal_end_factor_fc=100.0)
+        old_path = save_checkpoint(tmp_path / "old.ckpt", meta, arrays)
+        assert_resumes_the_same(cfg, path, old_path)
 
     def test_load_rejects_model_mismatch(self, tmp_path):
         cfg = quick_config(tmp_path)
