@@ -180,9 +180,10 @@ def scaled_sigmoid(sharpness: float, scores: np.ndarray, center: float) -> np.nd
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def binarize(soft: np.ndarray, cutoff: float = BINARY_CUTOFF) -> np.ndarray:
-    """Hard keep pattern: 0 where the soft value is strictly below the cutoff."""
-    return (np.asarray(soft) >= cutoff).astype(np.int64)
+def binarize(soft: np.ndarray) -> np.ndarray:
+    """Hard keep pattern: 0 where the soft value is strictly below
+    :data:`BINARY_CUTOFF`."""
+    return (np.asarray(soft) >= BINARY_CUTOFF).astype(np.int64)
 
 
 def scorer_gradients(scorer: ChannelScorer, map_values: np.ndarray, soft: np.ndarray,

@@ -16,11 +16,18 @@ keep none: a weight's influence, the loss gradient w.r.t. its mask entry at
 m = 1, is ``w * dL/dw``, and :mod:`maskprune.influence` computes it from the
 weight and the gradient the backward leaves here, only where it is read.
 
+A weight is drawn when it is first read, not when its layer is built: a
+:class:`Parameter` made by a :class:`_DrawStream` knows its ``shape`` at once
+and draws its ``data`` on the first read, so a weight that is assigned (say,
+loaded from a checkpoint) before anything reads it is never drawn at all.
+
 Every ``forward``/``backward`` here takes any array-like and returns a
 C-contiguous float64 ndarray.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -33,9 +40,14 @@ DELTA_FREEZE = 1e-3
 
 
 class Parameter:
-    """A trainable array with its gradient and momentum buffer."""
+    """A trainable array with its gradient and momentum buffer.
 
-    __slots__ = ("data", "grad", "velocity")
+    ``shape`` never needs ``data``.  A parameter made by
+    :meth:`_DrawStream.add` has no array until ``data`` is first read;
+    assigning ``data`` before that means it is never drawn.
+    """
+
+    __slots__ = ("_data", "_shape", "_stream", "grad", "velocity", "__weakref__")
 
     def __init__(self, data: np.ndarray):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -43,8 +55,74 @@ class Parameter:
         self.velocity: np.ndarray | None = None
 
     @property
-    def shape(self):
-        return self.data.shape
+    def data(self) -> np.ndarray:
+        if self._stream is not None:
+            self._stream.draw()
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        self._shape = value.shape
+        self._stream = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._shape
+
+    def _load(self, data, velocity) -> None:
+        """Copy ``data`` and ``velocity`` (None drops the momentum buffer) into
+        this parameter's own buffers: in place where a buffer exists, else into
+        a fresh one, so a weight not yet drawn never is."""
+        if self._stream is None:
+            np.copyto(self._data, data)
+        else:
+            self.data = np.array(data, dtype=np.float64, order="C")
+        if velocity is None:
+            self.velocity = None
+        elif self.velocity is None:
+            self.velocity = np.array(velocity, dtype=np.float64)
+        else:
+            np.copyto(self.velocity, velocity)
+
+
+class _DrawStream:
+    """Parameters whose arrays are drawn in sequence from one generator.
+
+    Nothing is drawn until the ``data`` of one of them is read.  That read
+    draws the array of every parameter added, in the order they were added,
+    from a fresh ``make_rng()``, so each gets the bytes an eager draw in that
+    order would have given it, whichever is read first.  A parameter whose
+    ``data`` was assigned first still has its array drawn, since the arrays
+    after it depend on it, and then dropped.
+
+    The stream holds its parameters by weak reference and each parameter holds
+    the stream only until it has data, so the two never form a reference cycle
+    that would keep a dropped model alive until the cycle collector runs.
+    """
+
+    def __init__(self, make_rng):
+        self._make_rng = make_rng
+        self._pending: list = []
+
+    def add(self, shape: tuple[int, ...], draw) -> Parameter:
+        """A parameter of ``shape`` whose array will be ``draw(rng)``."""
+        p = Parameter.__new__(Parameter)
+        p._data = None
+        p._shape = tuple(shape)
+        p._stream = self
+        p.grad = p.velocity = None
+        self._pending.append((weakref.ref(p), draw))
+        return p
+
+    def draw(self) -> None:
+        rng = self._make_rng()
+        pending, self._pending = self._pending, []
+        for ref, draw in pending:
+            data = draw(rng)
+            p = ref()
+            if p is not None and p._stream is self:
+                p.data = np.ascontiguousarray(data, dtype=np.float64)
 
 
 def _apply_channel_gate(out: np.ndarray, gate: np.ndarray) -> np.ndarray:
@@ -65,25 +143,25 @@ def _gate_grad(grad_out: np.ndarray, pre_gate: np.ndarray) -> np.ndarray:
 class MaskedConv2d:
     """2-D convolution with a per-filter gate."""
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, stride: int = 1, padding: int = 0):
-        weight = np.asarray(weight, dtype=np.float64)
-        if weight.ndim != 4:
-            raise ShapeError(f"conv weight must be OIHW, got rank {weight.ndim}")
-        self.weight = Parameter(weight)
-        self.bias = Parameter(np.asarray(bias, dtype=np.float64))
+    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray, stride: int = 1,
+                 padding: int = 0):
+        self.weight = weight if isinstance(weight, Parameter) else Parameter(weight)
+        if len(self.weight.shape) != 4:
+            raise ShapeError(f"conv weight must be OIHW, got rank {len(self.weight.shape)}")
+        self.bias = Parameter(bias)
         self.stride = int(stride)
         self.padding = int(padding)
-        self.gate = np.ones(weight.shape[0], dtype=np.float64)
-        self.gate_grad = np.zeros(weight.shape[0], dtype=np.float64)
+        self.gate = np.ones(self.out_channels, dtype=np.float64)
+        self.gate_grad = np.zeros(self.out_channels, dtype=np.float64)
         self._cache = None
 
     @property
     def out_channels(self) -> int:
-        return self.weight.data.shape[0]
+        return self.weight.shape[0]
 
     @property
     def in_channels(self) -> int:
-        return self.weight.data.shape[1]
+        return self.weight.shape[1]
 
     def forward(self, x, train: bool = True):
         x = _as_array(x)
@@ -120,23 +198,23 @@ class MaskedLinear:
     A "channel" of a linear layer is one output unit (one weight row).
     """
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray):
-        weight = np.asarray(weight, dtype=np.float64)
-        if weight.ndim != 2:
-            raise ShapeError(f"linear weight must be [out, in], got rank {weight.ndim}")
-        self.weight = Parameter(weight)
-        self.bias = Parameter(np.asarray(bias, dtype=np.float64))
-        self.gate = np.ones(weight.shape[0], dtype=np.float64)
-        self.gate_grad = np.zeros(weight.shape[0], dtype=np.float64)
+    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray):
+        self.weight = weight if isinstance(weight, Parameter) else Parameter(weight)
+        if len(self.weight.shape) != 2:
+            raise ShapeError(
+                f"linear weight must be [out, in], got rank {len(self.weight.shape)}")
+        self.bias = Parameter(bias)
+        self.gate = np.ones(self.out_channels, dtype=np.float64)
+        self.gate_grad = np.zeros(self.out_channels, dtype=np.float64)
         self._cache = None
 
     @property
     def out_channels(self) -> int:
-        return self.weight.data.shape[0]
+        return self.weight.shape[0]
 
     @property
     def in_channels(self) -> int:
-        return self.weight.data.shape[1]
+        return self.weight.shape[1]
 
     def forward(self, x, train: bool = True):
         x = _as_array(x)
@@ -181,7 +259,7 @@ class BatchNorm2d:
 
     @property
     def channels(self) -> int:
-        return self.gamma.data.shape[0]
+        return self.gamma.shape[0]
 
     def forward(self, x, train: bool = True, update_stats: bool = True,
                 update_mask: np.ndarray | None = None):
@@ -382,13 +460,18 @@ def sgd_step(module, lr: float, momentum: float = 0.9, weight_decay: float = 5e-
     for param, frozen in module.param_groups():
         if param.grad is None:
             continue
+        w = param.data
         if param.velocity is None:
-            param.velocity = np.zeros_like(param.data)
-        v_new = momentum * param.velocity + param.grad + weight_decay * param.data
+            param.velocity = np.zeros_like(w)
+        v = param.velocity
         if frozen is None or not frozen.any():
-            param.velocity = v_new
-            param.data -= lr * v_new
+            # in place, in the same order of operations as the frozen branch
+            v *= momentum
+            v += param.grad
+            v += weight_decay * w
+            w -= lr * v
         else:
+            v_new = momentum * v + param.grad + weight_decay * w
             active = ~frozen
-            param.velocity[active] = v_new[active]
-            param.data[active] -= lr * v_new[active]
+            v[active] = v_new[active]
+            w[active] -= lr * v_new[active]

@@ -62,8 +62,7 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
     for block in model.blocks:
         if isinstance(block, (ConvBlock, PlainConvBlock)):
             conv = block.conv
-            cout, cin, kh, kw = conv.weight.shape if isinstance(block, PlainConvBlock) \
-                else conv.weight.data.shape
+            cout, cin, kh, kw = conv.weight.shape
             gate = None if isinstance(block, PlainConvBlock) else conv.gate
             out_active = _active(gate, cout)
             ho, wo = conv_output_hw(h, w, kh, kw, conv.stride, conv.padding)
@@ -76,8 +75,8 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
             h, w, active_in = ho, wo, out_active
         elif isinstance(block, (ResidualBlock, PlainResidualBlock)):
             plain = isinstance(block, PlainResidualBlock)
-            w1 = block.conv1.weight.shape if plain else block.conv1.weight.data.shape
-            w2 = block.conv2.weight.shape if plain else block.conv2.weight.data.shape
+            w1 = block.conv1.weight.shape
+            w2 = block.conv2.weight.shape
             gate = None if plain else block.conv1.gate
             internal = _active(gate, w1[0])
             ho, wo = conv_output_hw(h, w, w1[2], w1[3], block.conv1.stride, block.conv1.padding)
@@ -87,8 +86,7 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
             params += w2[0] * internal * w2[2] * w2[3] + w2[0] + 2 * w2[0]
             ds = block.ds if plain else (block.ds_conv and (block.ds_conv, block.ds_bn))
             if ds:
-                ds_conv = ds[0]
-                dw = ds_conv.weight.shape if plain else ds_conv.weight.data.shape
+                dw = ds[0].weight.shape
                 macs += _conv_cost(dw[0], active_in, dw[2], dw[3], ho, wo)
                 params += dw[0] * active_in * dw[2] * dw[3] + dw[0] + 2 * dw[0]
             add(block.name, "res", macs, params)
@@ -99,8 +97,7 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
             active_in = active_in * h * w
         elif isinstance(block, (LinearBlock, PlainLinearBlock)):
             lin = block.linear
-            out_w, in_w = lin.weight.shape if isinstance(block, PlainLinearBlock) \
-                else lin.weight.data.shape
+            out_w, in_w = lin.weight.shape
             gate = None if isinstance(block, PlainLinearBlock) else lin.gate
             out_active = _active(gate, out_w)
             add(block.name, "fc", out_active * active_in, out_active * active_in + out_active)

@@ -6,6 +6,14 @@ its batch norm (when present) so that a hard-zero gate makes the channel's
 contribution exactly zero downstream, which in turn makes physical channel
 removal prediction-preserving.
 
+`build_model` draws no weight.  Each architecture builder records, per init
+stream ``keyed_rng(seed, TAG_INIT | stream)``, which He-normal arrays that
+stream draws and in what order; the first read of any weight of a stream
+draws all of that stream's weights, in that order (see
+:class:`maskprune.layers._DrawStream`).  A model read before it is loaded gets
+the same bytes an eager build would, and a model whose state is loaded first
+never draws.
+
 Compaction (`Model.compact`) produces a new model built from plain
 inference-only layers with pruned channels physically removed — no gates and
 no gradient buffers.  Residual blocks only ever have their first (in-block)
@@ -14,6 +22,7 @@ convolution narrowed; the stream width entering and leaving a block is fixed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,14 +40,11 @@ from .layers import (
     Parameter,
     ReLU,
     _apply_channel_gate,
+    _DrawStream,
     _gate_grad,
 )
 from .rng import TAG_INIT, keyed_rng
 from .tensor import _as_array, conv2d_forward, conv_output_hw
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return keyed_rng(seed, TAG_INIT | stream)
 
 
 def _he_conv(rng, cout, cin, k):
@@ -49,6 +55,19 @@ def _he_conv(rng, cout, cin, k):
 def _he_linear(rng, out, inp):
     std = np.sqrt(2.0 / inp)
     return rng.normal(0.0, std, size=(out, inp))
+
+
+def _init(seed: int, stream: int) -> _DrawStream:
+    """The weights of one init stream, drawn on first read."""
+    return _DrawStream(functools.partial(keyed_rng, seed, TAG_INIT | stream))
+
+
+def _conv_weight(init: _DrawStream, cout, cin, k) -> Parameter:
+    return init.add((cout, cin, k, k), functools.partial(_he_conv, cout=cout, cin=cin, k=k))
+
+
+def _linear_weight(init: _DrawStream, out, inp) -> Parameter:
+    return init.add((out, inp), functools.partial(_he_linear, out=out, inp=inp))
 
 
 # ---------------------------------------------------------------------------
@@ -492,62 +511,46 @@ class Model:
                     yield f"{block.name}.ds_conv", block.ds_conv
                     yield f"{block.name}.ds_bn", block.ds_bn
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
+    def _state_entries(self):
+        """Per layer, its state in order: ``(key, Parameter)`` for a trainable
+        array, ``(key, ndarray)`` for a gate or running statistic."""
         for name, layer in self._named_layers():
-            if isinstance(layer, (MaskedConv2d, MaskedLinear)):
-                out[f"{name}.weight"] = layer.weight.data
-                out[f"{name}.bias"] = layer.bias.data
-                out[f"{name}.gate"] = layer.gate
-                for pname, p in (("weight", layer.weight), ("bias", layer.bias)):
-                    if p.velocity is not None:
-                        out[f"{name}.{pname}.velocity"] = p.velocity
-            elif isinstance(layer, BatchNorm2d):
-                out[f"{name}.gamma"] = layer.gamma.data
-                out[f"{name}.beta"] = layer.beta.data
-                out[f"{name}.running_mean"] = layer.running_mean
-                out[f"{name}.running_var"] = layer.running_var
-                for pname, p in (("gamma", layer.gamma), ("beta", layer.beta)):
-                    if p.velocity is not None:
-                        out[f"{name}.{pname}.velocity"] = p.velocity
+            fields = (("gamma", "beta", "running_mean", "running_var")
+                      if isinstance(layer, BatchNorm2d) else ("weight", "bias", "gate"))
+            yield [(f"{name}.{f}", getattr(layer, f)) for f in fields]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The model's live arrays by name; each layer's velocities follow its
+        other arrays."""
+        out: dict[str, np.ndarray] = {}
+        for entries in self._state_entries():
+            for key, item in entries:
+                out[key] = item.data if isinstance(item, Parameter) else item
+            for key, item in entries:
+                if isinstance(item, Parameter) and item.velocity is not None:
+                    out[f"{key}.velocity"] = item.velocity
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy ``arrays`` into the model's own arrays, in place; every array
-        is checked for presence and shape before anything is assigned.  A
-        velocity the state lacks is dropped, an array the model lacks ignored."""
-        shapes = {k: v.shape for k, v in self.state_arrays().items()
-                  if not k.endswith(".velocity")}
-        missing = set(shapes) - set(arrays)
+        """Copy ``arrays`` into the model's own arrays (see ``Parameter._load``);
+        every array is checked for presence and shape, without drawing a weight,
+        before anything is assigned.  A velocity the state lacks is dropped, an
+        array the model lacks ignored."""
+        entries = [entry for layer in self._state_entries() for entry in layer]
+        missing = {key for key, _ in entries} - set(arrays)
         if missing:
             raise ShapeError(f"state is missing arrays: {sorted(missing)[:4]}")
-        for key, want in shapes.items():
+        for key, item in entries:
             for name in (key, f"{key}.velocity"):
-                if name in arrays and np.shape(arrays[name]) != want:
+                if name in arrays and np.shape(arrays[name]) != item.shape:
                     raise ShapeError(
                         f"state array {name} has shape {tuple(np.shape(arrays[name]))}, "
-                        f"model expects {tuple(want)}")
-
-        def load_param(p: Parameter, key: str) -> None:
-            np.copyto(p.data, arrays[key])
-            velocity = arrays.get(f"{key}.velocity")
-            if velocity is None:
-                p.velocity = None
-            elif p.velocity is None:
-                p.velocity = np.array(velocity, dtype=np.float64)
+                        f"model expects {tuple(item.shape)}")
+        for key, item in entries:
+            if isinstance(item, Parameter):
+                item._load(arrays[key], arrays.get(f"{key}.velocity"))
             else:
-                np.copyto(p.velocity, velocity)
-
-        for name, layer in self._named_layers():
-            if isinstance(layer, (MaskedConv2d, MaskedLinear)):
-                load_param(layer.weight, f"{name}.weight")
-                load_param(layer.bias, f"{name}.bias")
-                np.copyto(layer.gate, arrays[f"{name}.gate"])
-            elif isinstance(layer, BatchNorm2d):
-                load_param(layer.gamma, f"{name}.gamma")
-                load_param(layer.beta, f"{name}.beta")
-                np.copyto(layer.running_mean, arrays[f"{name}.running_mean"])
-                np.copyto(layer.running_var, arrays[f"{name}.running_var"])
+                np.copyto(item, arrays[key])
 
     # -- compaction ---------------------------------------------------------
 
@@ -611,21 +614,21 @@ def _keep_vector(keep: dict[str, np.ndarray], name: str, width: int, prunable: b
 # ---------------------------------------------------------------------------
 
 
-def _conv_block(name, rng, cin, cout, k, stride, padding, bn=True, relu=True, pool=None,
+def _conv_block(name, init, cin, cout, k, stride, padding, bn=True, relu=True, pool=None,
                 prunable=True):
-    conv = MaskedConv2d(_he_conv(rng, cout, cin, k), np.zeros(cout), stride, padding)
+    conv = MaskedConv2d(_conv_weight(init, cout, cin, k), np.zeros(cout), stride, padding)
     return ConvBlock(name, conv, BatchNorm2d(cout) if bn else None, relu, pool, prunable)
 
 
 def _tiny_cnn(in_ch, hw, classes, seed):
     widths = (8, 16, 24, 32)
     blocks = [
-        _conv_block("conv1", _rng(seed, 1), in_ch, widths[0], 3, 1, 1, pool=2),
-        _conv_block("conv2", _rng(seed, 2), widths[0], widths[1], 3, 1, 1, pool=2),
-        _conv_block("conv3", _rng(seed, 3), widths[1], widths[2], 3, 1, 1),
-        _conv_block("conv4", _rng(seed, 4), widths[2], widths[3], 3, 1, 1),
+        _conv_block("conv1", _init(seed, 1), in_ch, widths[0], 3, 1, 1, pool=2),
+        _conv_block("conv2", _init(seed, 2), widths[0], widths[1], 3, 1, 1, pool=2),
+        _conv_block("conv3", _init(seed, 3), widths[1], widths[2], 3, 1, 1),
+        _conv_block("conv4", _init(seed, 4), widths[2], widths[3], 3, 1, 1),
         PoolBlock("gap"),
-        LinearBlock("fc", MaskedLinear(_he_linear(_rng(seed, 5), classes, widths[3]),
+        LinearBlock("fc", MaskedLinear(_linear_weight(_init(seed, 5), classes, widths[3]),
                                        np.zeros(classes)), relu=False, prunable=False),
     ]
     return blocks
@@ -638,14 +641,14 @@ def _lenet(in_ch, hw, classes, seed):
     h = h // 2                        # pool
     flat = 16 * h * h
     blocks = [
-        _conv_block("conv1", _rng(seed, 1), in_ch, 6, 5, 1, 2, bn=False, pool=2),
-        _conv_block("conv2", _rng(seed, 2), 6, 16, 5, 1, 0, bn=False, pool=2),
+        _conv_block("conv1", _init(seed, 1), in_ch, 6, 5, 1, 2, bn=False, pool=2),
+        _conv_block("conv2", _init(seed, 2), 6, 16, 5, 1, 0, bn=False, pool=2),
         FlattenBlock("flatten"),
-        LinearBlock("fc1", MaskedLinear(_he_linear(_rng(seed, 3), 120, flat), np.zeros(120)),
+        LinearBlock("fc1", MaskedLinear(_linear_weight(_init(seed, 3), 120, flat), np.zeros(120)),
                     relu=True, prunable=True),
-        LinearBlock("fc2", MaskedLinear(_he_linear(_rng(seed, 4), 84, 120), np.zeros(84)),
+        LinearBlock("fc2", MaskedLinear(_linear_weight(_init(seed, 4), 84, 120), np.zeros(84)),
                     relu=True, prunable=True),
-        LinearBlock("fc3", MaskedLinear(_he_linear(_rng(seed, 5), classes, 84),
+        LinearBlock("fc3", MaskedLinear(_linear_weight(_init(seed, 5), classes, 84),
                                         np.zeros(classes)), relu=False, prunable=False),
     ]
     return blocks
@@ -665,37 +668,39 @@ def _vgg16(in_ch, hw, classes, seed):
             continue
         idx += 1
         pool = 2 if pos + 1 < len(plan) and plan[pos + 1] == "M" else None
-        blocks.append(_conv_block(f"conv{idx}", _rng(seed, idx), cin, item, 3, 1, 1, pool=pool))
+        blocks.append(_conv_block(f"conv{idx}", _init(seed, idx), cin, item, 3, 1, 1, pool=pool))
         cin = item
     blocks.append(FlattenBlock("flatten"))
     spatial = hw // 32
     blocks.append(LinearBlock("fc", MaskedLinear(
-        _he_linear(_rng(seed, idx + 1), classes, cin * spatial * spatial), np.zeros(classes)),
+        _linear_weight(_init(seed, idx + 1), classes, cin * spatial * spatial),
+        np.zeros(classes)),
         relu=False, prunable=False))
     return blocks
 
 
 def _resnet56(in_ch, hw, classes, seed):
-    blocks = [_conv_block("stem", _rng(seed, 0), in_ch, 16, 3, 1, 1, prunable=False)]
+    blocks = [_conv_block("stem", _init(seed, 0), in_ch, 16, 3, 1, 1, prunable=False)]
     stream = 16
     counter = itertools.count(1)
     for stage, width in enumerate((16, 32, 64)):
         for b in range(9):
             stride = 2 if (stage > 0 and b == 0) else 1
             i = next(counter)
-            rng = _rng(seed, 100 + i)
-            conv1 = MaskedConv2d(_he_conv(rng, width, stream, 3), np.zeros(width), stride, 1)
-            conv2 = MaskedConv2d(_he_conv(rng, width, width, 3), np.zeros(width), 1, 1)
+            # one stream for the block: conv1, conv2, then the projection
+            init = _init(seed, 100 + i)
+            conv1 = MaskedConv2d(_conv_weight(init, width, stream, 3), np.zeros(width), stride, 1)
+            conv2 = MaskedConv2d(_conv_weight(init, width, width, 3), np.zeros(width), 1, 1)
             ds_conv = ds_bn = None
             if stride != 1 or stream != width:
-                ds_conv = MaskedConv2d(_he_conv(rng, width, stream, 1), np.zeros(width),
+                ds_conv = MaskedConv2d(_conv_weight(init, width, stream, 1), np.zeros(width),
                                        stride, 0)
                 ds_bn = BatchNorm2d(width)
             blocks.append(ResidualBlock(f"res{i}", conv1, BatchNorm2d(width), conv2,
                                         BatchNorm2d(width), ds_conv, ds_bn))
             stream = width
     blocks.append(PoolBlock("gap"))
-    blocks.append(LinearBlock("fc", MaskedLinear(_he_linear(_rng(seed, 999), classes, 64),
+    blocks.append(LinearBlock("fc", MaskedLinear(_linear_weight(_init(seed, 999), classes, 64),
                                                  np.zeros(classes)), relu=False, prunable=False))
     return blocks
 
@@ -710,7 +715,8 @@ _ARCHS = {
 
 def build_model(arch: str, in_channels: int = 1, image_size: int = 28, classes: int = 10,
                 seed: int = 0) -> Model:
-    """Construct one of the known architectures with seeded He initialization."""
+    """Construct one of the known architectures with seeded He initialization,
+    each weight drawn on its first read (see the module docstring)."""
     if arch not in _ARCHS:
         raise ShapeError(f"unknown architecture '{arch}'; expected one of {sorted(_ARCHS)}")
     blocks = _ARCHS[arch](in_channels, image_size, classes, seed)

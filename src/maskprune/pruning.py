@@ -89,14 +89,13 @@ def build_plan(influences: dict[str, np.ndarray], rate: float) -> CompressionPla
     return CompressionPlan(rate, threshold, targets)
 
 
-def lambda_value(kept_target: int, kept_actual: int, total: int,
-                 scale: float = STRATEGY_WEIGHT_SCALE) -> float:
+def lambda_value(kept_target: int, kept_actual: int, total: int) -> float:
     """Weight of the strategy-matching loss term.
 
     Active only while actual retention is at or below the complement of the
     target retention (i.e. the layer has been thinned at least as far as the
     plan asks); then it grows with the distance from that boundary:
-    ``scale * |kept_target/total + kept_actual/total - 1|``.
+    ``STRATEGY_WEIGHT_SCALE * |kept_target/total + kept_actual/total - 1|``.
     """
     if total <= 0:
         raise ShapeError(f"layer width must be positive, got {total}")
@@ -108,7 +107,7 @@ def lambda_value(kept_target: int, kept_actual: int, total: int,
     t = kept_target / total
     b = kept_actual / total
     if 1.0 - b >= t:
-        return scale * abs(t + b - 1.0)
+        return STRATEGY_WEIGHT_SCALE * abs(t + b - 1.0)
     return 0.0
 
 

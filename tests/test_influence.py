@@ -155,10 +155,10 @@ class TestScaledSigmoid:
 class TestBinarize:
     def test_cutoff_is_strict_below(self):
         soft = np.array([0.0, BINARY_CUTOFF / 2, BINARY_CUTOFF, 0.5, 1.0])
-        assert binarize(soft, BINARY_CUTOFF).tolist() == [0, 0, 1, 1, 1]
+        assert binarize(soft).tolist() == [0, 0, 1, 1, 1]
 
     def test_dtype_is_integer(self):
-        assert binarize(np.array([0.3]), 1e-6).dtype == np.int64
+        assert binarize(np.array([0.3])).dtype == np.int64
 
 
 class TestChannelScorer:

@@ -506,7 +506,41 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+def reference_sgd(w, v, grad, frozen, lr, momentum, weight_decay):
+    """The out-of-place update: ``momentum * v + grad + weight_decay * w``
+    as one expression, then ``w - lr * v`` on every row that is not frozen."""
+    w, v = w.copy(), (np.zeros_like(w) if v is None else v.copy())
+    v_new = momentum * v + grad + weight_decay * w
+    rows = slice(None) if frozen is None or not frozen.any() else ~frozen
+    v[rows] = v_new[rows]
+    w[rows] -= lr * v_new[rows]
+    return w, v
+
+
 class TestSgdStep:
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_matches_the_out_of_place_update_bit_for_bit(self, frozen):
+        rng = np.random.default_rng(75)
+        conv = MaskedConv2d(rng.normal(size=(6, 3, 3, 3)), rng.normal(size=6))
+        block = ConvBlock("c", conv, BatchNorm2d(6))
+        if frozen:
+            conv.gate[[1, 4]] = DELTA_FREEZE / 2
+        params = [p for p, _ in block.param_groups()]
+        want = [(p.data.copy(), None) for p in params]
+        for _ in range(5):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+                     for p in params]
+            want = [reference_sgd(w, v, g, rows, 0.05, 0.9, 5e-4)
+                    for (w, v), g, (_, rows) in zip(want, grads, block.param_groups())]
+            for p, g in zip(params, grads):
+                p.grad = g
+            sgd_step(block, 0.05, 0.9, 5e-4)
+            for p, (w, v) in zip(params, want):
+                assert p.data.tobytes() == w.tobytes()
+                assert p.velocity.tobytes() == v.tobytes()
+        if frozen:
+            assert (conv.weight.velocity[[1, 4]] == 0).all()
+
     def test_velocity_and_update_rule(self):
         lin = make_linear(3, 2, seed=9)
         w0 = lin.weight.data.copy()

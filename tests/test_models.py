@@ -1,4 +1,8 @@
-"""Architecture construction, state round-trips, and physical compaction."""
+"""Architecture construction, deferred weight draws, state round-trips, and
+physical compaction."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,9 +10,27 @@ from numpy.testing import assert_allclose
 
 from maskprune.errors import ShapeError
 from maskprune.influence import StrategyState
-from maskprune.layers import DELTA_FREEZE, BatchNorm2d, MaskedConv2d, MaskedLinear
-from maskprune.models import ConvBlock, Model, PoolBlock, ResidualBlock, build_model
+from maskprune.layers import (
+    DELTA_FREEZE,
+    BatchNorm2d,
+    MaskedConv2d,
+    MaskedLinear,
+    sgd_step,
+    softmax_cross_entropy,
+)
+from maskprune.metrics import count_flops
+from maskprune.models import (
+    _VGG16_PLAN,
+    ConvBlock,
+    Model,
+    PoolBlock,
+    ResidualBlock,
+    _he_conv,
+    _he_linear,
+    build_model,
+)
 from maskprune.pruning import compact
+from maskprune.rng import TAG_INIT, keyed_rng
 from tests.test_layers import reference_maxpool, reference_relu
 
 
@@ -71,6 +93,126 @@ class TestBuild:
             assert_allclose(pa, pb, rtol=0, atol=0)
         assert any(not np.allclose(pa, pc) for (_, pa), (_, pc)
                    in zip(a.state_arrays().items(), c.state_arrays().items()))
+
+
+ARCH_INPUTS = {"tiny-cnn": (1, 28), "lenet": (1, 28), "vgg16": (3, 32), "resnet56": (3, 32)}
+
+
+def eager_weights(arch, seed, classes=10):
+    """Every conv and linear weight of ``arch`` in model order, each stream's
+    arrays drawn at once and in build order, as an eager build draws them."""
+    in_ch, hw = ARCH_INPUTS[arch]
+
+    def draw(stream, *shapes):
+        rng = keyed_rng(seed, TAG_INIT | stream)
+        return [_he_conv(rng, *s) if len(s) == 3 else _he_linear(rng, *s) for s in shapes]
+
+    if arch in ("tiny-cnn", "vgg16"):
+        widths = [8, 16, 24, 32] if arch == "tiny-cnn" else \
+            [w for w in _VGG16_PLAN if w != "M"]
+        chans = [in_ch, *widths]
+        out = [w for i in range(len(widths)) for w in draw(i + 1, (chans[i + 1], chans[i], 3))]
+        flat = widths[-1] * (hw // 32) ** 2 if arch == "vgg16" else widths[-1]
+        return out + draw(len(widths) + 1, (classes, flat))
+    if arch == "lenet":
+        h = ((hw + 4 - 5 + 1) // 2 - 5 + 1) // 2
+        return [*draw(1, (6, in_ch, 5)), *draw(2, (16, 6, 5)), *draw(3, (120, 16 * h * h)),
+                *draw(4, (84, 120)), *draw(5, (classes, 84))]
+    out, stream, block = draw(0, (16, in_ch, 3)), 16, 0
+    for width in (16, 32, 64):
+        for _ in range(9):
+            block += 1
+            shapes = [(width, stream, 3), (width, width, 3)]
+            if stream != width:
+                shapes.append((width, stream, 1))
+            out += draw(100 + block, *shapes)
+            stream = width
+    return out + draw(999, (classes, 64))
+
+
+def model_weights(model):
+    """The model's conv and linear weight parameters, in model order."""
+    return [p for p, _ in model.param_groups() if len(p.shape) > 1]
+
+
+class TestDeferredDraw:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("arch", list(ARCH_INPUTS))
+    def test_first_read_gives_the_eager_bytes_in_any_order(self, arch, seed):
+        model = build_model(arch, *ARCH_INPUTS[arch], 10, seed)
+        weights = model_weights(model)
+        want = eager_weights(arch, seed)
+        assert [p.shape for p in weights] == [w.shape for w in want]
+        # read back to front: every resnet block's projection and conv2
+        # before its conv1, which shares their stream and is drawn first
+        got = [p.data for p in reversed(weights)][::-1]
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.flags.c_contiguous
+            assert g.tobytes() == w.tobytes()
+
+    def test_a_loaded_model_never_draws(self, monkeypatch):
+        state = {k: v.copy() for k, v in
+                 build_model("resnet56", 3, 32, 10, seed=1).state_arrays().items()}
+        made = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            made.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        model = build_model("resnet56", 3, 32, 10, seed=0)
+        widths = [ref.layer.out_channels for ref in model.prunable()]
+        cost = count_flops(model)
+        model.load_state_arrays(state)
+        loaded = model.state_arrays()
+        assert made == []
+        assert widths == [16] * 9 + [32] * 9 + [64] * 9 and cost["total_flops"] > 0
+        assert sorted(loaded) == sorted(state)
+        for key, value in state.items():
+            assert loaded[key].tobytes() == value.tobytes(), key
+        # the control: reading one weight of a model nothing was loaded into
+        # draws its stream, and only that one
+        assert build_model("resnet56", 3, 32, 10, seed=0).blocks[5].conv2.weight.data.size
+        assert len(made) == 1
+
+    def test_a_loaded_state_is_a_copy(self):
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(4, 1, 28, 28)), rng.integers(0, 10, 4)
+
+        def step(model):
+            _, grad = softmax_cross_entropy(model.forward(x, train=True), y)
+            model.backward(grad)
+            sgd_step(model, 0.1)
+
+        src = build_model("tiny-cnn", 1, 28, 10, seed=0)
+        step(src)           # so the state carries velocities too
+        before = {k: v.copy() for k, v in src.state_arrays().items()}
+        dst = build_model("tiny-cnn", 1, 28, 10, seed=1)
+        dst.load_state_arrays(src.state_arrays())
+        step(dst)
+        after = dst.state_arrays()
+        assert any(k.endswith(".velocity") for k in before)
+        for key, value in src.state_arrays().items():
+            assert value.tobytes() == before[key].tobytes(), key
+        assert not all(np.array_equal(after[k], before[k]) for k in before)
+
+    @pytest.mark.parametrize("use", ["loaded", "never-read", "half-read"])
+    def test_a_dropped_model_is_freed_without_the_cycle_collector(self, use):
+        state = build_model("vgg16", 3, 32, 10, seed=0).state_arrays() \
+            if use == "loaded" else None
+        gc.disable()
+        try:
+            model = build_model("vgg16", 3, 32, 10, seed=1)
+            if use == "loaded":
+                model.load_state_arrays(state)
+            elif use == "half-read":
+                assert all(p.data.size for p in model_weights(model)[::2])
+            refs = [weakref.ref(x) for x in (model, *model_weights(model))]
+            del model
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestStateRoundTrip:

@@ -118,7 +118,7 @@ class TestLambdaValue:
             (8, 4, 0, 2.5),
         ]
         for total, kt, ka, want in table:
-            assert_allclose(lambda_value(kt, ka, total, scale=5.0), want, rtol=0,
+            assert_allclose(lambda_value(kt, ka, total), want, rtol=0,
                             atol=1e-12, err_msg=f"case {(total, kt, ka)}")
 
     def test_random_sweep_against_formula(self):

@@ -9,6 +9,7 @@ from maskprune.config import ExperimentConfig
 from maskprune.data import synthetic_dataset
 from maskprune.errors import ConfigError, NumericalError
 from maskprune.influence import (
+    BINARY_CUTOFF,
     ChannelScorer,
     InfluenceMap,
     StrategyState,
@@ -67,8 +68,14 @@ class TestAnchorCenter:
             target = np.ones(12, dtype=np.int64)
             target[order[:k]] = 0
             c = anchor_center(scores, target, sharpness=200.0)
+            # the centre splits the scores where the target does ...
             soft = scaled_sigmoid(200.0, scores, c)
-            assert np.array_equal(binarize(soft, 0.5).astype(np.int64), target)
+            assert np.array_equal((soft >= 0.5).astype(np.int64), target)
+            # ... so once the sharpness saturates the gap around it, the
+            # pipeline's binarization at BINARY_CUTOFF gives the target too
+            gap = scores[order[k]] - scores[order[k - 1]]
+            saturating = 2.0 * (np.log(1.0 / BINARY_CUTOFF) + 1.0) / gap
+            assert np.array_equal(binarize(scaled_sigmoid(saturating, scores, c)), target)
 
 
 def planted_setup(seed=0, n=10, k_drop=4):
