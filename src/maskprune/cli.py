@@ -125,8 +125,7 @@ def cmd_inspect_influence(args) -> int:
         trainer.measure_influence()
     rows = []
     for name in trainer.maps:
-        infl = channel_influence(trainer.maps[name])
-        for ch, value in enumerate(infl.values):
+        for ch, value in enumerate(channel_influence(trainer.maps[name])):
             rows.append((name, ch, float(value)))
     rows.sort(key=lambda r: (r[2], r[0], r[1]))
     out = Path(args.table) if args.table else Path(trainer.cfg.out_dir) / "influence.csv"

@@ -86,10 +86,16 @@ class ExperimentConfig:
             raise ConfigError("anneal_end_factor must be >= 1")
         if not (0.0 <= self.ema_decay < 1.0):
             raise ConfigError(f"ema_decay must be in [0, 1), got {self.ema_decay}")
+        if not (0.0 < self.delta_bin < 0.5):
+            raise ConfigError(f"delta_bin must be in (0, 0.5), got {self.delta_bin}")
+        if not self.score_margin > 0:
+            raise ConfigError(f"score_margin must be positive, got {self.score_margin}")
+        if not self.stall_boost >= 1:  # a boost below 1 would lower the sharpness
+            raise ConfigError(f"stall_boost must be >= 1, got {self.stall_boost}")
         if self.window < 1 or self.stall_patience < 1:
             raise ConfigError("window and stall_patience must be >= 1")
         for name in ("baseline_epochs", "prune_epochs", "finetune_epochs", "train_limit",
-                     "test_limit", "synthetic_train", "synthetic_test"):
+                     "test_limit", "synthetic_train", "synthetic_test", "crop_pad"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("eval_batch", "log_every", "strategy_eval_every", "max_prune_epochs"):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .layers import DELTA_FREEZE, Parameter
+from .layers import Parameter
 
 #: a soft keep value below this is treated as a hard zero
 BINARY_CUTOFF = 1e-6
@@ -39,14 +39,6 @@ class InfluenceMap:
     @property
     def channels(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass
-class ChannelInfluence:
-    """Per-channel influence, the slab reduction of an InfluenceMap."""
-
-    layer: str
-    values: np.ndarray      # shape [channels]
 
 
 class InfluenceSum:
@@ -81,8 +73,7 @@ def capture_influence(acc: InfluenceSum, name: str | None = None,
         raise ShapeError("influence capture with empty accumulator (no samples seen)")
     values = acc.total / float(acc.samples)
     if degate:
-        gate = acc.layer.gate
-        scale = np.where(gate >= DELTA_FREEZE, gate, 1.0)
+        scale = np.where(acc.layer.frozen, 1.0, acc.layer.gate)
         values = values / scale.reshape((-1,) + (1,) * (values.ndim - 1))
     fresh = InfluenceMap(name or "layer", values, acc.samples)
     acc.total.fill(0.0)
@@ -90,13 +81,12 @@ def capture_influence(acc: InfluenceSum, name: str | None = None,
     return fresh
 
 
-def channel_influence(infl_map: InfluenceMap) -> ChannelInfluence:
+def channel_influence(infl_map: InfluenceMap) -> np.ndarray:
     """Reduce a per-weight map to one number per channel: the sum of
     magnitudes over the channel's slab, so positive and negative per-weight
     influences cannot cancel."""
     vals = np.abs(infl_map.values)
-    axes = tuple(range(1, vals.ndim))
-    return ChannelInfluence(infl_map.layer, vals.sum(axis=axes))
+    return vals.sum(axis=tuple(range(1, vals.ndim)))
 
 
 def ema_merge(running: InfluenceMap | None, fresh: InfluenceMap, rho: float = 0.9) -> InfluenceMap:

@@ -6,10 +6,13 @@ are written by the pruning controller (soft values while a strategy anneals,
 hard 0/1 afterwards) and scale the channel's activations; a gate below
 :data:`DELTA_FREEZE` also freezes the channel's weights and its batch-norm
 statistics ("false pruning": the channel stays in memory but stops
-participating), and cost accounting counts the channel as removed.  The layer
-only stores the gate and its gradient ``gate_grad``: the block that owns the
-layer applies the gate after its batch norm and fills ``gate_grad`` (see
-:mod:`maskprune.models`).
+participating), and cost accounting counts the channel as removed.  The block
+that owns the layer decides where the gate sits (after its batch norm, see
+:mod:`maskprune.models`) and calls the layer's ``gate_forward`` and
+``gate_backward`` there.  Only a soft gate, one with some entry strictly
+inside (0, 1), gets a gradient ``gate_grad``; under a 0/1 gate it is None.  In
+a run the only soft gate is the active prune layer's, the one gate whose
+gradient the keep strategy reads.
 
 The layers are named for the paper's multiplicative weight mask, but they
 keep none: a weight's influence, the loss gradient w.r.t. its mask entry at
@@ -140,19 +143,26 @@ def _gate_grad(grad_out: np.ndarray, pre_gate: np.ndarray) -> np.ndarray:
     return (grad_out * pre_gate).sum(axis=axes)
 
 
-class MaskedConv2d:
-    """2-D convolution with a per-filter gate."""
+class _MaskedLayer:
+    """What both masked layers share: weight, bias and the per-channel gate.
 
-    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray, stride: int = 1,
-                 padding: int = 0):
+    ``gate_forward`` scales each output channel by its gate, and
+    ``gate_backward`` returns the gradient through it.  A soft gate (some entry
+    strictly inside (0, 1)) keeps the pre-gate activation on the forward, and
+    its backward fills ``gate_grad``, dL/dgate.  A 0/1 gate keeps nothing and
+    leaves ``gate_grad`` None: the strategy that reads it scales it by
+    soft * (1 - soft), which is exactly 0 at a 0/1 entry.
+    """
+
+    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray, rank: int,
+                 layout: str):
         self.weight = weight if isinstance(weight, Parameter) else Parameter(weight)
-        if len(self.weight.shape) != 4:
-            raise ShapeError(f"conv weight must be OIHW, got rank {len(self.weight.shape)}")
+        if len(self.weight.shape) != rank:
+            raise ShapeError(f"{layout}, got rank {len(self.weight.shape)}")
         self.bias = Parameter(bias)
-        self.stride = int(stride)
-        self.padding = int(padding)
         self.gate = np.ones(self.out_channels, dtype=np.float64)
-        self.gate_grad = np.zeros(self.out_channels, dtype=np.float64)
+        self.gate_grad: np.ndarray | None = None
+        self._pre_gate = None
         self._cache = None
 
     @property
@@ -162,6 +172,36 @@ class MaskedConv2d:
     @property
     def in_channels(self) -> int:
         return self.weight.shape[1]
+
+    @property
+    def frozen(self) -> np.ndarray:
+        """Per channel, whether its gate is below :data:`DELTA_FREEZE`."""
+        return self.gate < DELTA_FREEZE
+
+    def gate_forward(self, z: np.ndarray) -> np.ndarray:
+        gate = self.gate
+        self._pre_gate = z if ((gate > 0.0) & (gate < 1.0)).any() else None
+        return _apply_channel_gate(z, gate)
+
+    def gate_backward(self, grad_out: np.ndarray) -> np.ndarray:
+        pre_gate = self._pre_gate
+        self.gate_grad = None if pre_gate is None else _gate_grad(grad_out, pre_gate)
+        return _apply_channel_gate(grad_out, self.gate)
+
+    def param_groups(self):
+        frozen = self.frozen
+        yield self.weight, frozen
+        yield self.bias, frozen
+
+
+class MaskedConv2d(_MaskedLayer):
+    """2-D convolution with a per-filter gate."""
+
+    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray, stride: int = 1,
+                 padding: int = 0):
+        super().__init__(weight, bias, 4, "conv weight must be OIHW")
+        self.stride = int(stride)
+        self.padding = int(padding)
 
     def forward(self, x, train: bool = True):
         x = _as_array(x)
@@ -186,35 +226,15 @@ class MaskedConv2d:
             input_grad=input_grad)
         return grad_x
 
-    def param_groups(self):
-        frozen = self.gate < DELTA_FREEZE
-        yield self.weight, frozen
-        yield self.bias, frozen
 
-
-class MaskedLinear:
+class MaskedLinear(_MaskedLayer):
     """Fully connected layer with a per-unit gate, like MaskedConv2d.
 
     A "channel" of a linear layer is one output unit (one weight row).
     """
 
     def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray):
-        self.weight = weight if isinstance(weight, Parameter) else Parameter(weight)
-        if len(self.weight.shape) != 2:
-            raise ShapeError(
-                f"linear weight must be [out, in], got rank {len(self.weight.shape)}")
-        self.bias = Parameter(bias)
-        self.gate = np.ones(self.out_channels, dtype=np.float64)
-        self.gate_grad = np.zeros(self.out_channels, dtype=np.float64)
-        self._cache = None
-
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
+        super().__init__(weight, bias, 2, "linear weight must be [out, in]")
 
     def forward(self, x, train: bool = True):
         x = _as_array(x)
@@ -232,11 +252,6 @@ class MaskedLinear:
         self.weight.grad = g.T @ self._cache
         self.bias.grad = g.sum(axis=0)
         return g @ self.weight.data if input_grad else None
-
-    def param_groups(self):
-        frozen = self.gate < DELTA_FREEZE
-        yield self.weight, frozen
-        yield self.bias, frozen
 
 
 class BatchNorm2d:

@@ -15,10 +15,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ShapeError
-from .layers import DELTA_FREEZE
 from .models import (
     ConvBlock,
     FlattenBlock,
@@ -33,10 +30,12 @@ from .models import (
 from .tensor import conv_output_hw
 
 
-def _active(gate: np.ndarray | None, width: int) -> int:
-    if gate is None:
-        return width
-    return int((gate >= DELTA_FREEZE).sum())
+def _active(layer) -> int:
+    """Output channels of ``layer`` that are not frozen; a compacted layer
+    has no gate and keeps them all."""
+    if not hasattr(layer, "frozen"):
+        return layer.out_channels
+    return int((~layer.frozen).sum())
 
 
 def _conv_cost(cout: int, cin: int, kh: int, kw: int, ho: int, wo: int) -> int:
@@ -62,9 +61,8 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
     for block in model.blocks:
         if isinstance(block, (ConvBlock, PlainConvBlock)):
             conv = block.conv
-            cout, cin, kh, kw = conv.weight.shape
-            gate = None if isinstance(block, PlainConvBlock) else conv.gate
-            out_active = _active(gate, cout)
+            kh, kw = conv.weight.shape[2:]
+            out_active = _active(conv)
             ho, wo = conv_output_hw(h, w, kh, kw, conv.stride, conv.padding)
             params = out_active * active_in * kh * kw + out_active
             if block.bn is not None:
@@ -77,8 +75,7 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
             plain = isinstance(block, PlainResidualBlock)
             w1 = block.conv1.weight.shape
             w2 = block.conv2.weight.shape
-            gate = None if plain else block.conv1.gate
-            internal = _active(gate, w1[0])
+            internal = _active(block.conv1)
             ho, wo = conv_output_hw(h, w, w1[2], w1[3], block.conv1.stride, block.conv1.padding)
             macs = _conv_cost(internal, active_in, w1[2], w1[3], ho, wo)
             macs += _conv_cost(w2[0], internal, w2[2], w2[3], ho, wo)
@@ -96,10 +93,7 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
         elif isinstance(block, FlattenBlock):
             active_in = active_in * h * w
         elif isinstance(block, (LinearBlock, PlainLinearBlock)):
-            lin = block.linear
-            out_w, in_w = lin.weight.shape
-            gate = None if isinstance(block, PlainLinearBlock) else lin.gate
-            out_active = _active(gate, out_w)
+            out_active = _active(block.linear)
             add(block.name, "fc", out_active * active_in, out_active * active_in + out_active)
             active_in = out_active
         else:

@@ -4,7 +4,9 @@ A model is an ordered list of blocks.  Weighted blocks wrap the masked layers
 from :mod:`maskprune.layers`; the per-channel gate of a conv is applied after
 its batch norm (when present) so that a hard-zero gate makes the channel's
 contribution exactly zero downstream, which in turn makes physical channel
-removal prediction-preserving.
+removal prediction-preserving.  A block only places the gate: the masked
+layer's ``gate_forward``/``gate_backward`` apply it, and fill ``gate_grad``
+only while the gate is soft, which in a run is the active prune layer alone.
 
 `build_model` draws no weight.  Each architecture builder records, per init
 stream ``keyed_rng(seed, TAG_INIT | stream)``, which He-normal arrays that
@@ -30,7 +32,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .layers import (
-    DELTA_FREEZE,
     BatchNorm2d,
     Flatten,
     GlobalAvgPool,
@@ -39,9 +40,7 @@ from .layers import (
     MaxPool2d,
     Parameter,
     ReLU,
-    _apply_channel_gate,
     _DrawStream,
-    _gate_grad,
 )
 from .rng import TAG_INIT, keyed_rng
 from .tensor import _as_array, conv2d_forward, conv_output_hw
@@ -143,29 +142,25 @@ class ConvBlock:
         self.relu = ReLU() if relu else None
         self.pool = MaxPool2d(pool) if pool else None
         self.prunable = prunable
-        self._pre_gate = None
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
         z = self.conv.forward(x, train)
         if self.bn is not None:
-            mask = self.conv.gate >= DELTA_FREEZE if train and update_stats else None
+            mask = ~self.conv.frozen if train and update_stats else None
             z = self.bn.forward(z, train, update_stats=update_stats, update_mask=mask)
-        self._pre_gate = z
-        z = _apply_channel_gate(z, self.conv.gate)
+        z = self.conv.gate_forward(z)
         if self.pool is not None:
             z = self.pool.forward(z, train)
         if self.relu is not None:
             z = self.relu.forward(z, train)
-        # an open gate with nothing after it would hand out _pre_gate itself
-        return z.copy() if z is self._pre_gate else z
+        return z
 
     def backward(self, g, input_grad: bool = True):
         if self.relu is not None:
             g = self.relu.backward(g)
         if self.pool is not None:
             g = self.pool.backward(g)
-        self.conv.gate_grad = _gate_grad(g, self._pre_gate)
-        g = _apply_channel_gate(g, self.conv.gate)
+        g = self.conv.gate_backward(g)
         if self.bn is not None:
             g = self.bn.backward(g)
         return self.conv.backward(g, input_grad)
@@ -205,22 +200,17 @@ class LinearBlock:
         self.linear = linear
         self.relu = ReLU() if relu else None
         self.prunable = prunable
-        self._pre_gate = None
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
-        z = self.linear.forward(x, train)
-        self._pre_gate = z
-        z = _apply_channel_gate(z, self.linear.gate)
+        z = self.linear.gate_forward(self.linear.forward(x, train))
         if self.relu is not None:
             z = self.relu.forward(z, train)
-        return z.copy() if z is self._pre_gate else z  # as in ConvBlock
+        return z
 
     def backward(self, g, input_grad: bool = True):
         if self.relu is not None:
             g = self.relu.backward(g)
-        self.linear.gate_grad = _gate_grad(g, self._pre_gate)
-        g = _apply_channel_gate(g, self.linear.gate)
-        return self.linear.backward(g, input_grad)
+        return self.linear.backward(self.linear.gate_backward(g), input_grad)
 
     def param_groups(self):
         yield from self.linear.param_groups()
@@ -249,7 +239,6 @@ class ResidualBlock:
         self.relu1 = ReLU()
         self.relu2 = ReLU()
         self.prunable = True
-        self._pre_gate = None
 
     @property
     def prunable_name(self) -> str:
@@ -257,11 +246,9 @@ class ResidualBlock:
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
         z = self.conv1.forward(x, train)
-        mask = self.conv1.gate >= DELTA_FREEZE if train and update_stats else None
+        mask = ~self.conv1.frozen if train and update_stats else None
         z = self.bn1.forward(z, train, update_stats=update_stats, update_mask=mask)
-        self._pre_gate = z
-        z = _apply_channel_gate(z, self.conv1.gate)
-        z = self.relu1.forward(z, train)
+        z = self.relu1.forward(self.conv1.gate_forward(z), train)
         z = self.conv2.forward(z, train)
         z = self.bn2.forward(z, train, update_stats=update_stats)
         if self.ds_conv is not None:
@@ -275,9 +262,7 @@ class ResidualBlock:
         g = self.relu2.backward(g)
         gm = self.bn2.backward(g)
         gm = self.conv2.backward(gm)
-        gm = self.relu1.backward(gm)
-        self.conv1.gate_grad = _gate_grad(gm, self._pre_gate)
-        gm = _apply_channel_gate(gm, self.conv1.gate)
+        gm = self.conv1.gate_backward(self.relu1.backward(gm))
         gm = self.bn1.backward(gm)
         gx = self.conv1.backward(gm, input_grad)
         gs = g
@@ -467,9 +452,11 @@ class Model:
 
     def backward(self, grad_logits) -> None:
         """Backpropagate ``grad_logits`` through every block, filling the
-        parameter gradients (whence influence, ``weight.grad * weight.data``)
-        and each masked layer's ``gate_grad``.  Nothing reads the gradient
-        w.r.t. the images, so the first block skips it and this returns None."""
+        parameter gradients (whence influence, ``weight.grad * weight.data``).
+        A masked layer gets a ``gate_grad`` only if its gate is soft, as the
+        active prune layer's is; under a 0/1 gate ``gate_grad`` is None.
+        Nothing reads the gradient w.r.t. the images, so the first block skips
+        it and this returns None."""
         g = _as_array(grad_logits)
         first = self.blocks[0]
         for block in reversed(self.blocks):

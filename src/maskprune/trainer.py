@@ -323,7 +323,7 @@ class Trainer:
         for name, acc in sums.items():
             fresh = capture_influence(acc, name)
             self.maps[name] = ema_merge(None, fresh, self.cfg.ema_decay)
-            influences[name] = channel_influence(fresh).values
+            influences[name] = channel_influence(fresh)
         return influences
 
     def _stage_measure(self, phase: Phase) -> None:
@@ -356,7 +356,7 @@ class Trainer:
         channel index).
         """
         k0 = int((self.plan.targets[name] == 0).sum())
-        infl = channel_influence(self.maps[name]).values
+        infl = channel_influence(self.maps[name])
         target = np.ones(infl.size, dtype=np.int64)
         if k0 > 0:
             order = np.lexsort((np.arange(infl.size), infl))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from maskprune.cli import main
 from maskprune.config import (
     RETIRED_KEYS,
     ExperimentConfig,
@@ -113,6 +114,40 @@ class TestValidation:
     def test_ema_decay_range(self):
         with pytest.raises(ConfigError, match="ema_decay"):
             ExperimentConfig(ema_decay=1.0).validate()
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5, -0.01, 0.75])
+    def test_delta_bin_inside_open_half_interval(self, bad):
+        with pytest.raises(ConfigError, match=rf"delta_bin must be in \(0, 0.5\), got {bad}"):
+            ExperimentConfig(delta_bin=bad).validate()
+        ExperimentConfig(delta_bin=0.49).validate()
+
+    @pytest.mark.parametrize("bad", [0.0, -14.0])
+    def test_score_margin_positive(self, bad):
+        # zero collapses every score to the bias; a negative margin inverts
+        # the ranking
+        with pytest.raises(ConfigError, match=f"score_margin must be positive, got {bad}"):
+            ExperimentConfig(score_margin=bad).validate()
+        ExperimentConfig(score_margin=1e-3).validate()
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5, float("nan")])
+    def test_stall_boost_at_least_one(self, bad):
+        # 0 divided StrategyMonitor.observe's log line by zero at the first
+        # stall; anything below 1 would lower the sharpness it should raise
+        with pytest.raises(ConfigError, match=f"stall_boost must be >= 1, got {bad}"):
+            ExperimentConfig(stall_boost=bad).validate()
+        ExperimentConfig(stall_boost=1.0).validate()
+
+    def test_crop_pad_nonnegative(self):
+        # batches() treated a negative pad as 0 without a word
+        with pytest.raises(ConfigError, match="crop_pad must be >= 0, got -1"):
+            ExperimentConfig(crop_pad=-1).validate()
+        ExperimentConfig(crop_pad=0).validate()
+
+    @pytest.mark.parametrize("line", ["stall_boost = 0", "score_margin = 0",
+                                      "delta_bin = 0.5", "crop_pad = -1"])
+    def test_cli_exits_1_naming_the_key(self, tmp_path, capsys, line):
+        assert main(["eval", "--config", str(write_cfg(tmp_path, line + "\n"))]) == 1
+        assert line.split()[0] in capsys.readouterr().err
 
 
 class TestRoundTrip:

@@ -99,17 +99,15 @@ class TestChannelInfluence:
         vals = np.array([[[1.0, -2.0], [3.0, -4.0]],
                          [[-1.0, 1.0], [1.0, -1.0]]])[:, None]
         m = InfluenceMap("x", vals, samples=1)
-        out = channel_influence(m)
-        assert out.layer == "x"
-        assert_allclose(out.values, [10.0, 4.0], rtol=0)
+        assert_allclose(channel_influence(m), [10.0, 4.0], rtol=0)
 
     def test_opposite_signs_never_cancel(self):
         # a slab of +-x sums to 2|x|, not 0: the ranking is by magnitude
         vals = np.array([[[1.0, -1.0]], [[-3.0, -3.0]], [[0.0, 0.0]]])[:, None]
         m = InfluenceMap("x", vals, samples=1)
-        assert_allclose(channel_influence(m).values, [2.0, 6.0, 0.0], rtol=0)
+        assert_allclose(channel_influence(m), [2.0, 6.0, 0.0], rtol=0)
         m2 = InfluenceMap("fc", np.array([[2.0, -5.0], [-1.0, 1.0]]), samples=1)
-        assert_allclose(channel_influence(m2).values, [7.0, 2.0], rtol=0)
+        assert_allclose(channel_influence(m2), [7.0, 2.0], rtol=0)
 
 
 class TestEmaMerge:

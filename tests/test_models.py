@@ -31,7 +31,8 @@ from maskprune.models import (
 )
 from maskprune.pruning import compact
 from maskprune.rng import TAG_INIT, keyed_rng
-from tests.test_layers import reference_maxpool, reference_relu
+from tests.test_array_contract import _buffers
+from tests.test_layers import numgrad, reference_maxpool, reference_relu, rel_err
 
 
 def frozen_strategies(model, keep: dict[str, np.ndarray]):
@@ -424,8 +425,11 @@ class TestPooledConvBlock:
         assert np.array_equal(out, want_out)
         assert np.array_equal(gx, want_gx)
         grads = [(block.conv.weight.grad, ref.conv.weight.grad),
-                 (block.conv.bias.grad, ref.conv.bias.grad),
-                 (block.conv.gate_grad, ref.conv.gate_grad)]
+                 (block.conv.bias.grad, ref.conv.bias.grad)]
+        if (block.conv.gate == 1.0).all():  # an open gate gets no gradient
+            assert block.conv.gate_grad is None
+        else:
+            grads.append((block.conv.gate_grad, ref.conv.gate_grad))
         if block.bn is not None:
             grads += [(block.bn.gamma.grad, ref.bn.gamma.grad),
                       (block.bn.beta.grad, ref.bn.beta.grad)]
@@ -460,6 +464,44 @@ class TestModelBackward:
             assert np.array_equal(pa.grad, pb.grad)
         for ra, rb in zip(skipped.prunable(), full.prunable()):
             assert np.array_equal(ra.layer.gate_grad, rb.layer.gate_grad)
+
+
+class TestGateGradient:
+    @pytest.mark.parametrize("build, soft, hard", [
+        (lambda: build_model("tiny-cnn", 1, 12, 10, seed=3), "conv2", "conv3"),
+        (lambda: build_model("lenet", 1, 28, 10, seed=3), "fc1", "conv2"),
+        (lambda: mini_resnet(seed=3), "block2.conv1", "block1.conv1"),
+    ], ids=["tiny-cnn", "lenet", "resnet-mini"])
+    def test_only_the_soft_gate_gets_a_gradient(self, build, soft, hard):
+        model = build()
+        refs = {ref.name: ref.layer for ref in model.prunable()}
+        soft_layer = refs[soft]
+        soft_layer.gate[:] = np.linspace(0.1, 0.9, soft_layer.out_channels)
+        refs[hard].gate[::2] = 0.0
+        masked = [layer for _, layer in model._named_layers() if hasattr(layer, "gate")]
+        pre_gate = {}
+        for layer in masked:  # record the array each gate scales
+            def spy(z, layer=layer, gate_forward=layer.gate_forward):
+                pre_gate[layer] = z
+                return gate_forward(z)
+            layer.gate_forward = spy
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(4, *model.input_shape))
+        proj = rng.normal(size=(4, 10))
+        model.forward(x, train=True, update_stats=False)
+        kept = _buffers(model)
+        assert {soft_layer, refs[hard]} < set(pre_gate)  # and an open one
+        for layer, z in pre_gate.items():
+            assert any(np.shares_memory(z, b) for b in kept) == (layer is soft_layer)
+        model.backward(proj)
+        for layer in masked:
+            assert (layer.gate_grad is not None) == (layer is soft_layer)
+
+        def loss():
+            return float((model.forward(x, train=True, update_stats=False) * proj).sum())
+
+        got = soft_layer.gate_grad.copy()
+        assert rel_err(got, numgrad(loss, soft_layer.gate)) <= 1e-5
 
 
 class TestResidualBlocks:

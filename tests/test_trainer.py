@@ -158,6 +158,27 @@ class TestStrategyStep:
         assert not np.allclose(scorer_a.kernel.data, scorer_b.kernel.data)
 
 
+    def test_binary_soft_ignores_the_gate_gradient(self):
+        # soft * (1 - soft) is 0 at every entry of a 0/1 vector, so a layer
+        # under a binary gate may hand strategy_step None for its gate_grad
+        runs = []
+        for extra in (None, np.random.default_rng(4).normal(size=10)):
+            vals, scorer, state = planted_setup(seed=5)
+            schedule = SharpnessSchedule(1.0, 10.0, 50)
+            for _ in range(2):  # soft steps first, so the velocities are non-zero
+                score_strategy(scorer, state, schedule.value(), vals)
+                strategy_step(scorer, state, schedule, vals, extra_grad_soft=np.full(10, 0.3))
+            state.soft = (np.arange(10) % 3 != 0).astype(np.float64)
+            state.hard = binarize(state.soft)
+            for _ in range(3):
+                strategy_step(scorer, state, schedule, vals, extra_grad_soft=extra)
+            runs.append([scorer.kernel.data, scorer.bias.data, scorer.kernel.velocity,
+                         scorer.bias.velocity])
+        assert runs[0][2].any() and runs[0][3].any()
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestStrategyMonitor:
     def _state(self, soft):
         soft = np.asarray(soft, dtype=np.float64)
