@@ -26,8 +26,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ExperimentConfig, parse_config, write_effective_config
 from .errors import ConfigError, DataError, MaskPruneError
 from .influence import channel_influence

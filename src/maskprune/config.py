@@ -11,7 +11,7 @@ configs and checkpoints still load but never silently change a run.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError

@@ -18,8 +18,17 @@ never draws.
 
 Compaction (`Model.compact`) produces a new model built from plain
 inference-only layers with pruned channels physically removed — no gates and
-no gradient buffers.  Residual blocks only ever have their first (in-block)
-convolution narrowed; the stream width entering and leaving a block is fixed.
+no gradient buffers.  It needs no forward pass: the flatten width comes from
+each block's ``out_shape``, walked from the model's input shape.  Residual
+blocks only ever have their first (in-block) convolution narrowed; the stream
+width entering and leaving a block is fixed.
+
+An eval forward (``train=False``) of a hard-gated model runs compacted: when
+every prunable gate is 0/1 with at least one channel closed and none of those
+layers closed entirely, and every other gate is all ones, ``Model.forward``
+returns ``self.compact(keep).forward(x)`` with ``keep`` read off the gates, so
+closed channels are never computed.  Training, soft gates, gates frozen at a
+nonzero value and all-open gates run the dense path.
 """
 
 from __future__ import annotations
@@ -75,11 +84,13 @@ def _linear_weight(init: _DrawStream, out, inp) -> Parameter:
 
 
 class PlainConv2d:
+    """A conv without gate or gradient.  Compaction slices its weight with one
+    ``np.ix_`` index, which yields a C-contiguous copy, so its matmul takes the
+    same BLAS path as the gated layer's."""
+
     def __init__(self, weight, bias, stride, padding):
-        # fancy indexing during compaction can leave transposed strides;
-        # normalise so matmul takes the same BLAS path as the gated layer
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.bias = np.ascontiguousarray(bias, dtype=np.float64)
+        self.weight = weight
+        self.bias = bias
         self.stride = stride
         self.padding = padding
 
@@ -93,8 +104,8 @@ class PlainConv2d:
 
 class PlainLinear:
     def __init__(self, weight, bias):
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.bias = np.ascontiguousarray(bias, dtype=np.float64)
+        self.weight = weight
+        self.bias = bias
 
     @property
     def out_channels(self):
@@ -179,9 +190,8 @@ class ConvBlock:
         return (self.conv.out_channels, ho, wo)
 
     def compacted(self, in_keep: np.ndarray, out_keep: np.ndarray) -> "PlainConvBlock":
-        w = self.conv.weight.data[out_keep][:, in_keep]
-        b = self.conv.bias.data[out_keep]
-        conv = PlainConv2d(w, b, self.conv.stride, self.conv.padding)
+        conv = PlainConv2d(self.conv.weight.data[np.ix_(out_keep, in_keep)],
+                           self.conv.bias.data[out_keep], self.conv.stride, self.conv.padding)
         bn = None
         if self.bn is not None:
             bn = PlainBatchNorm(self.bn.gamma.data[out_keep], self.bn.beta.data[out_keep],
@@ -219,9 +229,9 @@ class LinearBlock:
         return (self.linear.out_channels,)
 
     def compacted(self, in_keep: np.ndarray, out_keep: np.ndarray) -> "PlainLinearBlock":
-        w = self.linear.weight.data[out_keep][:, in_keep]
-        b = self.linear.bias.data[out_keep]
-        return PlainLinearBlock(self.name, PlainLinear(w, b), self.relu is not None)
+        linear = PlainLinear(self.linear.weight.data[np.ix_(out_keep, in_keep)],
+                             self.linear.bias.data[out_keep])
+        return PlainLinearBlock(self.name, linear, self.relu is not None)
 
 
 class ResidualBlock:
@@ -285,13 +295,15 @@ class ResidualBlock:
     def compacted(self, in_keep: np.ndarray, internal_keep: np.ndarray) -> "PlainResidualBlock":
         if not in_keep.all():
             raise ShapeError(f"residual block {self.name} cannot narrow its input stream")
-        c1 = PlainConv2d(self.conv1.weight.data[internal_keep], self.conv1.bias.data[internal_keep],
-                         self.conv1.stride, self.conv1.padding)
+        c1 = PlainConv2d(self.conv1.weight.data[np.ix_(internal_keep, in_keep)],
+                         self.conv1.bias.data[internal_keep], self.conv1.stride,
+                         self.conv1.padding)
         b1 = PlainBatchNorm(self.bn1.gamma.data[internal_keep], self.bn1.beta.data[internal_keep],
                             self.bn1.running_mean[internal_keep],
                             self.bn1.running_var[internal_keep], self.bn1.eps)
-        c2 = PlainConv2d(self.conv2.weight.data[:, internal_keep], self.conv2.bias.data,
-                         self.conv2.stride, self.conv2.padding)
+        stream = np.ones(self.conv2.out_channels, dtype=bool)
+        c2 = PlainConv2d(self.conv2.weight.data[np.ix_(stream, internal_keep)],
+                         self.conv2.bias.data, self.conv2.stride, self.conv2.padding)
         b2 = PlainBatchNorm(self.bn2.gamma.data, self.bn2.beta.data, self.bn2.running_mean,
                             self.bn2.running_var, self.bn2.eps)
         ds = None
@@ -443,12 +455,47 @@ class Model:
         self.input_shape = tuple(input_shape)
         self.classes = classes
         self.compacted = compacted
+        self._ran_compacted = False
 
     def forward(self, x, train: bool = True, update_stats: bool = True) -> np.ndarray:
+        """Logits for ``x``.  An eval forward (``train=False``) of a hard-gated
+        model runs through ``self.compact(keep)``, ``keep`` read off the gates
+        (see :meth:`_hard_keep`), so closed channels cost nothing; its logits
+        are that compacted model's, bit for bit.  Every other forward runs each
+        block in turn, closed channels included."""
+        keep = None if train or self.compacted else self._hard_keep()
+        self._ran_compacted = keep is not None
+        if keep is not None:
+            # what the layers keep for a backward belongs to an older input
+            for _, layer in self._named_layers():
+                layer._cache = None
+            return self.compact(keep).forward(x, train=False)
         z = _as_array(x)
         for block in self.blocks:
             z = block.forward(z, train=train, update_stats=update_stats)
         return z
+
+    def _hard_keep(self) -> dict[str, np.ndarray] | None:
+        """The open channels of every prunable layer, when the gates allow an
+        exact compacted forward: each prunable gate entry is 0.0 or 1.0, some
+        entry is 0, no prunable layer is closed entirely, and every other gate
+        is all ones.  None otherwise."""
+        refs = self.prunable()
+        keep = {}
+        for ref in refs:
+            gate = ref.layer.gate
+            is_open = gate == 1.0
+            if not is_open.any() or not (is_open | (gate == 0.0)).all():
+                return None
+            keep[ref.name] = is_open
+        if all(k.all() for k in keep.values()):
+            return None
+        prunable = {id(ref.layer) for ref in refs}
+        for _, layer in self._named_layers():
+            gate = getattr(layer, "gate", None)
+            if gate is not None and id(layer) not in prunable and not (gate == 1.0).all():
+                return None
+        return keep
 
     def backward(self, grad_logits) -> None:
         """Backpropagate ``grad_logits`` through every block, filling the
@@ -456,7 +503,12 @@ class Model:
         A masked layer gets a ``gate_grad`` only if its gate is soft, as the
         active prune layer's is; under a 0/1 gate ``gate_grad`` is None.
         Nothing reads the gradient w.r.t. the images, so the first block skips
-        it and this returns None."""
+        it and this returns None.  A forward that ran compacted drops the
+        layers' caches and leaves nothing to backpropagate through, so a
+        backward after it raises ``ShapeError``."""
+        if self._ran_compacted:
+            raise ShapeError("backward after an eval forward that ran compacted; "
+                             "the gated layers hold no activations for it")
         g = _as_array(grad_logits)
         first = self.blocks[0]
         for block in reversed(self.blocks):
@@ -550,6 +602,7 @@ class Model:
         if self.compacted:
             raise ShapeError("model is already compacted")
         active = np.ones(self.input_shape[0], dtype=bool)
+        shape = self.input_shape
         new_blocks = []
         for block in self.blocks:
             if isinstance(block, ConvBlock):
@@ -568,18 +621,14 @@ class Model:
                 new_blocks.append(block.compacted(active, internal))
                 active = np.ones(block.conv2.out_channels, dtype=bool)
             elif isinstance(block, FlattenBlock):
-                shape = block.flatten.last_in_shape
-                if shape is None:
-                    raise ShapeError(
-                        "flatten block has no recorded input shape; run a forward pass first"
-                    )
-                _, c, h, w = shape
+                _, h, w = shape
                 active = np.repeat(active, h * w)
                 new_blocks.append(block.compacted(None, None))
             elif isinstance(block, PoolBlock):
                 new_blocks.append(block.compacted(None, None))
             else:
                 raise ShapeError(f"cannot compact block of type {type(block).__name__}")
+            shape = block.out_shape(shape)
         return Model(self.arch, new_blocks, self.input_shape, self.classes, compacted=True)
 
 

@@ -12,7 +12,7 @@ threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,6 +145,8 @@ class SharpnessSchedule:
             raise ShapeError(f"sharpness end {self.end} below start {self.start}")
         if self.total_steps < 1:
             raise ShapeError("schedule needs at least one step")
+        if not self.boost_factor >= 1:  # a boost below 1 would lower the sharpness
+            raise ShapeError(f"boost factor must be >= 1, got {self.boost_factor}")
 
     def value(self) -> float:
         frac = min(self.step, self.total_steps) / self.total_steps

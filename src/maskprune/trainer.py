@@ -28,7 +28,7 @@ from . import pruning
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, write_effective_config
 from .data import Dataset, batches, cifar10_dataset, mnist_dataset, synthetic_dataset
-from .errors import ConfigError, ConvergenceError, NumericalError, ShapeError
+from .errors import ConfigError, ConvergenceError, NumericalError
 from .influence import (
     BINARY_CUTOFF,
     ChannelScorer,
@@ -488,9 +488,6 @@ class Trainer:
     def finish(self) -> RunReport:
         """Compact, evaluate, and assemble the report (after all stages ran)."""
         t0 = time.perf_counter()
-        # populate geometry caches (flatten shapes) for compaction
-        probe = np.zeros((2, *self.model.input_shape))
-        self.model.forward(probe, train=False)
         compacted = pruning.compact(self.model, self.strategies)
         pruned_acc = self.evaluate(compacted)
         cost_after = count_flops(compacted)

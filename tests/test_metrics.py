@@ -77,7 +77,6 @@ class TestFlopCounting:
         from tests.test_models import frozen_strategies
 
         m = build_model("tiny-cnn", 1, 28, 10, seed=0)
-        m.forward(np.zeros((2, 1, 28, 28)), train=True)
         keep = {"conv2": np.array([1, 0] * 8), "conv4": np.array([1, 1, 1, 0] * 8)}
         strategies = frozen_strategies(m, keep)
         gated = count_flops(m)

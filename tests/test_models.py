@@ -46,6 +46,40 @@ def frozen_strategies(model, keep: dict[str, np.ndarray]):
     return out
 
 
+def dense_eval(model, x):
+    """The dense eval forward, block by block: every gated channel computed
+    and multiplied by its gate.  Independent of ``Model.forward``, which runs a
+    0/1-gated model compacted."""
+    z = np.asarray(x, dtype=np.float64)
+    for block in model.blocks:
+        z = block.forward(z, train=False)
+    return z
+
+
+def random_keep(model, rng):
+    """Per prunable layer, a random 0/1 keep vector that keeps at least one
+    channel and closes at least one."""
+    keep = {}
+    for ref in model.prunable():
+        width = ref.layer.out_channels
+        v = np.zeros(width, dtype=np.int64)
+        v[rng.choice(width, size=int(rng.integers(1, width)), replace=False)] = 1
+        keep[ref.name] = v
+    return keep
+
+
+def spy_compact(model):
+    """Record every ``keep`` that ``model.compact`` is called with."""
+    calls = []
+    real = model.compact
+
+    def spy(keep):
+        calls.append(keep)
+        return real(keep)
+    model.compact = spy
+    return calls
+
+
 class TestBuild:
     def test_tiny_cnn_shapes_and_prunables(self):
         m = build_model("tiny-cnn", 1, 28, 10, seed=0)
@@ -290,8 +324,8 @@ class TestStateRoundTrip:
 
 class TestCompaction:
     def _exercise(self, model, x):
-        model.forward(x, train=True)      # populate running stats + shapes
-        return model.forward(x, train=False)
+        model.forward(x, train=True)      # populate running stats
+        return dense_eval(model, x)
 
     def test_all_keep_compaction_is_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -314,7 +348,7 @@ class TestCompaction:
             "conv4": np.array([0, 1, 1, 1] * 8),
         }
         strategies = frozen_strategies(m, keep)
-        gated = m.forward(x, train=False)
+        gated = dense_eval(m, x)
         plain = compact(m, strategies)
         assert_allclose(plain.forward(x, train=False), gated, rtol=0, atol=1e-10)
 
@@ -333,7 +367,7 @@ class TestCompaction:
         m.forward(x, train=True)
         keep = {"fc1": np.array([1, 0] * 60), "fc2": np.array([0, 1] * 42)}
         strategies = frozen_strategies(m, keep)
-        gated = m.forward(x, train=False)
+        gated = dense_eval(m, x)
         plain = compact(m, strategies)
         assert_allclose(plain.forward(x, train=False), gated, rtol=0, atol=1e-10)
 
@@ -529,6 +563,102 @@ class TestResidualBlocks:
         keep = {"block1.conv1": np.array([1, 0, 1, 1, 0, 1, 0, 1]),
                 "block2.conv1": np.array([0, 1] * 8)}
         strategies = frozen_strategies(m, keep)
-        gated = m.forward(x, train=False)
+        gated = dense_eval(m, x)
         plain = compact(m, strategies)
         assert_allclose(plain.forward(x, train=False), gated, rtol=0, atol=1e-10)
+
+
+EVAL_MODELS = {
+    "tiny-cnn": lambda seed: build_model("tiny-cnn", 1, 28, 10, seed=seed),
+    "lenet": lambda seed: build_model("lenet", 1, 28, 10, seed=seed),
+    "vgg16": lambda seed: build_model("vgg16", 3, 32, 10, seed=seed),
+    "mini-resnet": mini_resnet,
+}
+
+
+def _gate_case(model, case, rng):
+    """Gates under which the eval forward must stay dense: every prunable layer
+    takes a random 0/1 pattern, then ``case`` spoils the hard-gate condition."""
+    frozen_strategies(model, random_keep(model, rng))
+    first = model.prunable()[0].layer
+    if case == "soft":
+        first.gate[:] = rng.uniform(0.05, 0.95, first.out_channels)
+    elif case == "frozen-nonzero":
+        first.gate[0] = np.nextafter(DELTA_FREEZE, 0.0)
+    elif case == "closed-layer":
+        first.gate[:] = 0.0
+    elif case == "non-prunable-zero":
+        model.blocks[-1].linear.gate[0] = 0.0
+    elif case == "all-open":
+        for ref in model.prunable():
+            ref.layer.gate[:] = 1.0
+
+
+class TestCompactedEval:
+    """An eval forward of a 0/1-gated model runs through its compaction."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("arch", list(EVAL_MODELS))
+    def test_hard_gates_run_compacted(self, arch, seed):
+        model = EVAL_MODELS[arch](seed)
+        rng = np.random.default_rng(100 + seed)
+        x = rng.standard_normal((3, *model.input_shape))
+        model.forward(x, train=True)          # non-default running statistics
+        keep = random_keep(model, rng)
+        frozen_strategies(model, keep)
+        calls = spy_compact(model)
+        got = model.forward(x, train=False)
+        assert len(calls) == 1
+        assert calls[0].keys() == keep.keys()
+        for name, v in keep.items():
+            assert np.array_equal(calls[0][name], v.astype(bool))
+        assert np.array_equal(got, model.compact(keep).forward(x, train=False))
+        assert_allclose(got, dense_eval(model, x), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["soft", "all-open", "frozen-nonzero", "closed-layer",
+                                      "non-prunable-zero"])
+    @pytest.mark.parametrize("arch", ["tiny-cnn", "mini-resnet"])
+    def test_other_gates_run_dense(self, arch, case):
+        model = EVAL_MODELS[arch](7)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, *model.input_shape))
+        model.forward(x, train=True)
+        _gate_case(model, case, rng)
+        calls = spy_compact(model)
+        got = model.forward(x, train=False)
+        assert calls == []
+        assert np.array_equal(got, dense_eval(model, x))
+        model.backward(np.ones_like(got))     # the dense eval forward leaves its caches
+
+    def test_backward_after_compacted_eval_raises(self):
+        model = build_model("tiny-cnn", 1, 28, 10, seed=3)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 1, 28, 28))
+        model.forward(x, train=True)
+        frozen_strategies(model, random_keep(model, rng))
+        logits = model.forward(x, train=False)
+        # the training forward's caches, im2col columns included, are freed
+        assert all(layer._cache is None for _, layer in model._named_layers())
+        with pytest.raises(ShapeError, match="compacted"):
+            model.backward(np.ones_like(logits))
+        # a training forward runs dense again and backward works
+        _, grad = softmax_cross_entropy(model.forward(x, train=True), np.arange(4))
+        model.backward(grad)
+        assert model.blocks[0].conv.weight.grad is not None
+
+    @pytest.mark.parametrize("arch", ["lenet", "vgg16"])
+    def test_compact_needs_no_forward(self, arch):
+        model = EVAL_MODELS[arch](5)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, *model.input_shape))
+        small = compact(model, frozen_strategies(model, random_keep(model, rng)))
+        assert_allclose(small.forward(x, train=False), dense_eval(model, x), rtol=0, atol=1e-10)
+
+    def test_compacted_weights_are_single_contiguous_copies(self):
+        model = build_model("lenet", 1, 28, 10, seed=2)
+        keep = random_keep(model, np.random.default_rng(2))
+        small = model.compact(keep)
+        conv2, fc1 = small.blocks[1].conv.weight, small.blocks[3].linear.weight
+        assert conv2.flags.c_contiguous and fc1.flags.c_contiguous
+        assert conv2.shape == (keep["conv2"].sum(), keep["conv1"].sum(), 5, 5)
+        assert not np.shares_memory(fc1, model.blocks[3].linear.weight.data)

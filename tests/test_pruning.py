@@ -185,6 +185,18 @@ class TestSharpnessSchedule:
         with pytest.raises(ShapeError):
             SharpnessSchedule(0.01, 1.0, 0)
 
+    @pytest.mark.parametrize("factor", [0.0, 0.5, np.nextafter(1.0, 0.0), float("nan")])
+    def test_boost_factor_below_one_rejected(self, factor):
+        # a factor of 0 would divide by zero in the stall log, and one below 1
+        # would lower the sharpness the boost means to raise
+        with pytest.raises(ShapeError, match="boost factor"):
+            SharpnessSchedule(1.0, 2.0, 10, boost_factor=factor)
+
+    def test_boost_factor_one_accepted(self):
+        s = SharpnessSchedule(1.0, 2.0, 10, boost_factor=1.0)
+        s.apply_boost()
+        assert s.value() == 1.0
+
 
 class TestHasConverged:
     def test_needs_full_window(self):
