@@ -16,25 +16,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ShapeError
-from .models import (
-    ConvBlock,
-    FlattenBlock,
-    LinearBlock,
-    Model,
-    PlainConvBlock,
-    PlainLinearBlock,
-    PlainResidualBlock,
-    PoolBlock,
-    ResidualBlock,
-)
+from .models import ConvBlock, FlattenBlock, LinearBlock, Model, PoolBlock, ResidualBlock
 from .tensor import conv_output_hw
 
 
 def _active(layer) -> int:
-    """Output channels of ``layer`` that are not frozen; a compacted layer
-    has no gate and keeps them all."""
-    if not hasattr(layer, "frozen"):
-        return layer.out_channels
+    """Output channels of ``layer`` that are not frozen."""
     return int((~layer.frozen).sum())
 
 
@@ -45,8 +32,8 @@ def _conv_cost(cout: int, cin: int, kh: int, kw: int, ho: int, wo: int) -> int:
 def count_flops(model: Model, input_hw: int | None = None) -> dict:
     """Per-layer and total MACs/FLOPs/parameter counts for a model.
 
-    Works on both the gated training model (channels with an off gate are
-    excluded) and a compacted inference model.
+    Channels with an off gate are excluded, so a gated model costs what its
+    compaction does.
     """
     c, h, w = model.input_shape
     if input_hw is not None:
@@ -59,7 +46,7 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
                        "flops": int(2 * macs), "params": int(params)})
 
     for block in model.blocks:
-        if isinstance(block, (ConvBlock, PlainConvBlock)):
+        if isinstance(block, ConvBlock):
             conv = block.conv
             kh, kw = conv.weight.shape[2:]
             out_active = _active(conv)
@@ -71,8 +58,7 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
             if block.pool is not None:
                 ho, wo = block.pool.out_hw(ho, wo)
             h, w, active_in = ho, wo, out_active
-        elif isinstance(block, (ResidualBlock, PlainResidualBlock)):
-            plain = isinstance(block, PlainResidualBlock)
+        elif isinstance(block, ResidualBlock):
             w1 = block.conv1.weight.shape
             w2 = block.conv2.weight.shape
             internal = _active(block.conv1)
@@ -81,9 +67,8 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
             macs += _conv_cost(w2[0], internal, w2[2], w2[3], ho, wo)
             params = internal * active_in * w1[2] * w1[3] + internal + 2 * internal
             params += w2[0] * internal * w2[2] * w2[3] + w2[0] + 2 * w2[0]
-            ds = block.ds if plain else (block.ds_conv and (block.ds_conv, block.ds_bn))
-            if ds:
-                dw = ds[0].weight.shape
+            if block.ds_conv is not None:
+                dw = block.ds_conv.weight.shape
                 macs += _conv_cost(dw[0], active_in, dw[2], dw[3], ho, wo)
                 params += dw[0] * active_in * dw[2] * dw[3] + dw[0] + 2 * dw[0]
             add(block.name, "res", macs, params)
@@ -92,7 +77,7 @@ def count_flops(model: Model, input_hw: int | None = None) -> dict:
             pass  # global average pooling: channel count unchanged, no MACs
         elif isinstance(block, FlattenBlock):
             active_in = active_in * h * w
-        elif isinstance(block, (LinearBlock, PlainLinearBlock)):
+        elif isinstance(block, LinearBlock):
             out_active = _active(block.linear)
             add(block.name, "fc", out_active * active_in, out_active * active_in + out_active)
             active_in = out_active

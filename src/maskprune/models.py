@@ -16,19 +16,22 @@ draws all of that stream's weights, in that order (see
 the same bytes an eager build would, and a model whose state is loaded first
 never draws.
 
-Compaction (`Model.compact`) produces a new model built from plain
-inference-only layers with pruned channels physically removed — no gates and
-no gradient buffers.  It needs no forward pass: the flatten width comes from
-each block's ``out_shape``, walked from the model's input shape.  Residual
-blocks only ever have their first (in-block) convolution narrowed; the stream
-width entering and leaving a block is fixed.
+Compaction (`Model.compact`) produces a new model of the same blocks and
+masked layers with pruned channels physically removed: each array is a fresh
+sliced copy and every gate is open, so the result trains, saves and loads like
+any model.  It needs no forward pass: the flatten width comes from each
+block's ``out_shape``, walked from the model's input shape.  Residual blocks
+only ever have their first (in-block) convolution narrowed; the stream width
+entering and leaving a block is fixed.
 
-An eval forward (``train=False``) of a hard-gated model runs compacted: when
-every prunable gate is 0/1 with at least one channel closed and none of those
-layers closed entirely, and every other gate is all ones, ``Model.forward``
-returns ``self.compact(keep).forward(x)`` with ``keep`` read off the gates, so
-closed channels are never computed.  Training, soft gates, gates frozen at a
-nonzero value and all-open gates run the dense path.
+An eval forward (``train=False``) keeps no activations: each block's layers
+drop what they keep for a backward as the block returns, and a backward after
+it raises.  On a hard-gated model it also runs compacted: when every prunable
+gate is 0/1 with at least one channel closed and none of those layers closed
+entirely, and every other gate is all ones, ``Model.forward`` returns
+``self.compact(keep).forward(x)`` with ``keep`` read off the gates, so closed
+channels are never computed.  Training, soft gates, gates frozen at a nonzero
+value and all-open gates run the dense path.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .layers import (
     _DrawStream,
 )
 from .rng import TAG_INIT, keyed_rng
-from .tensor import _as_array, conv2d_forward, conv_output_hw
+from .tensor import _as_array, conv_output_hw
 
 
 def _he_conv(rng, cout, cin, k):
@@ -78,61 +81,28 @@ def _linear_weight(init: _DrawStream, out, inp) -> Parameter:
     return init.add((out, inp), functools.partial(_he_linear, out=out, inp=inp))
 
 
-# ---------------------------------------------------------------------------
-# inference-only layers used by compacted models
-# ---------------------------------------------------------------------------
+def _sliced(layer, out_keep: np.ndarray, in_keep: np.ndarray):
+    """A fresh masked layer over copies of ``layer``'s weight rows ``out_keep``
+    and columns ``in_keep`` and its bias entries ``out_keep``, its gate open.
+    One ``np.ix_`` index yields a C-contiguous weight copy, so its matmul takes
+    the same BLAS path as the source layer's."""
+    weight = layer.weight.data[np.ix_(out_keep, in_keep)]
+    bias = layer.bias.data[out_keep]
+    if isinstance(layer, MaskedLinear):
+        return MaskedLinear(weight, bias)
+    return MaskedConv2d(weight, bias, layer.stride, layer.padding)
 
 
-class PlainConv2d:
-    """A conv without gate or gradient.  Compaction slices its weight with one
-    ``np.ix_`` index, which yields a C-contiguous copy, so its matmul takes the
-    same BLAS path as the gated layer's."""
-
-    def __init__(self, weight, bias, stride, padding):
-        self.weight = weight
-        self.bias = bias
-        self.stride = stride
-        self.padding = padding
-
-    @property
-    def out_channels(self):
-        return self.weight.shape[0]
-
-    def forward(self, x):
-        return conv2d_forward(x, self.weight, self.bias, self.stride, self.padding)
-
-
-class PlainLinear:
-    def __init__(self, weight, bias):
-        self.weight = weight
-        self.bias = bias
-
-    @property
-    def out_channels(self):
-        return self.weight.shape[0]
-
-    def forward(self, x):
-        return x @ self.weight.T + self.bias
-
-
-class PlainBatchNorm:
-    def __init__(self, gamma, beta, mean, var, eps):
-        self.gamma = np.asarray(gamma, dtype=np.float64)
-        self.beta = np.asarray(beta, dtype=np.float64)
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.var = np.asarray(var, dtype=np.float64)
-        self.eps = eps
-
-    def forward(self, x):
-        # same association as the trainable layer so an all-keep compaction
-        # reproduces the gated forward bit for bit
-        inv = 1.0 / np.sqrt(self.var + self.eps)
-        x_hat = (x - self.mean[None, :, None, None]) * inv[None, :, None, None]
-        return self.gamma[None, :, None, None] * x_hat + self.beta[None, :, None, None]
+def _sliced_bn(bn: BatchNorm2d, keep: np.ndarray) -> BatchNorm2d:
+    """A fresh batch norm over copies of ``bn``'s channels ``keep``."""
+    out = BatchNorm2d(int(keep.sum()), bn.momentum, bn.eps)
+    out.gamma.data, out.beta.data = bn.gamma.data[keep], bn.beta.data[keep]
+    out.running_mean, out.running_var = bn.running_mean[keep], bn.running_var[keep]
+    return out
 
 
 # ---------------------------------------------------------------------------
-# trainable blocks
+# blocks
 # ---------------------------------------------------------------------------
 
 
@@ -189,16 +159,11 @@ class ConvBlock:
             ho, wo = self.pool.out_hw(ho, wo)
         return (self.conv.out_channels, ho, wo)
 
-    def compacted(self, in_keep: np.ndarray, out_keep: np.ndarray) -> "PlainConvBlock":
-        conv = PlainConv2d(self.conv.weight.data[np.ix_(out_keep, in_keep)],
-                           self.conv.bias.data[out_keep], self.conv.stride, self.conv.padding)
-        bn = None
-        if self.bn is not None:
-            bn = PlainBatchNorm(self.bn.gamma.data[out_keep], self.bn.beta.data[out_keep],
-                                self.bn.running_mean[out_keep], self.bn.running_var[out_keep],
-                                self.bn.eps)
-        return PlainConvBlock(self.name, conv, bn, self.relu is not None,
-                              self.pool.kernel if self.pool else None)
+    def compacted(self, in_keep: np.ndarray, out_keep: np.ndarray) -> "ConvBlock":
+        bn = None if self.bn is None else _sliced_bn(self.bn, out_keep)
+        return ConvBlock(self.name, _sliced(self.conv, out_keep, in_keep), bn,
+                         self.relu is not None, self.pool.kernel if self.pool else None,
+                         self.prunable)
 
 
 class LinearBlock:
@@ -228,10 +193,9 @@ class LinearBlock:
     def out_shape(self, in_shape):
         return (self.linear.out_channels,)
 
-    def compacted(self, in_keep: np.ndarray, out_keep: np.ndarray) -> "PlainLinearBlock":
-        linear = PlainLinear(self.linear.weight.data[np.ix_(out_keep, in_keep)],
-                             self.linear.bias.data[out_keep])
-        return PlainLinearBlock(self.name, linear, self.relu is not None)
+    def compacted(self, in_keep: np.ndarray, out_keep: np.ndarray) -> "LinearBlock":
+        return LinearBlock(self.name, _sliced(self.linear, out_keep, in_keep),
+                           self.relu is not None, self.prunable)
 
 
 class ResidualBlock:
@@ -292,27 +256,17 @@ class ResidualBlock:
         ho, wo = conv_output_hw(h, w, 3, 3, self.conv1.stride, self.conv1.padding)
         return (self.conv2.out_channels, ho, wo)
 
-    def compacted(self, in_keep: np.ndarray, internal_keep: np.ndarray) -> "PlainResidualBlock":
+    def compacted(self, in_keep: np.ndarray, internal_keep: np.ndarray) -> "ResidualBlock":
         if not in_keep.all():
             raise ShapeError(f"residual block {self.name} cannot narrow its input stream")
-        c1 = PlainConv2d(self.conv1.weight.data[np.ix_(internal_keep, in_keep)],
-                         self.conv1.bias.data[internal_keep], self.conv1.stride,
-                         self.conv1.padding)
-        b1 = PlainBatchNorm(self.bn1.gamma.data[internal_keep], self.bn1.beta.data[internal_keep],
-                            self.bn1.running_mean[internal_keep],
-                            self.bn1.running_var[internal_keep], self.bn1.eps)
         stream = np.ones(self.conv2.out_channels, dtype=bool)
-        c2 = PlainConv2d(self.conv2.weight.data[np.ix_(stream, internal_keep)],
-                         self.conv2.bias.data, self.conv2.stride, self.conv2.padding)
-        b2 = PlainBatchNorm(self.bn2.gamma.data, self.bn2.beta.data, self.bn2.running_mean,
-                            self.bn2.running_var, self.bn2.eps)
-        ds = None
+        ds_conv = ds_bn = None
         if self.ds_conv is not None:
-            ds = (PlainConv2d(self.ds_conv.weight.data, self.ds_conv.bias.data,
-                              self.ds_conv.stride, self.ds_conv.padding),
-                  PlainBatchNorm(self.ds_bn.gamma.data, self.ds_bn.beta.data,
-                                 self.ds_bn.running_mean, self.ds_bn.running_var, self.ds_bn.eps))
-        return PlainResidualBlock(self.name, c1, b1, c2, b2, ds)
+            ds_conv, ds_bn = _sliced(self.ds_conv, stream, in_keep), _sliced_bn(self.ds_bn, stream)
+        return ResidualBlock(self.name, _sliced(self.conv1, internal_keep, in_keep),
+                             _sliced_bn(self.bn1, internal_keep),
+                             _sliced(self.conv2, stream, internal_keep),
+                             _sliced_bn(self.bn2, stream), ds_conv, ds_bn)
 
 
 class PoolBlock:
@@ -362,78 +316,22 @@ class FlattenBlock:
         return FlattenBlock(self.name)
 
 
-# ---------------------------------------------------------------------------
-# inference-only block counterparts
-# ---------------------------------------------------------------------------
+# perfbench/probes.py times methods under these four names; a compacted model
+# is built from the same classes, so each name is bound to its class.  Drop
+# this once the probes stop naming them.
+PlainBatchNorm, PlainConvBlock, PlainLinearBlock, PlainResidualBlock = (
+    BatchNorm2d, ConvBlock, LinearBlock, ResidualBlock)
+
+#: what a layer keeps from its forward for its backward
+_BACKWARD_STATE = ("_cache", "_pre_gate", "_mask")
 
 
-class PlainConvBlock:
-    def __init__(self, name, conv: PlainConv2d, bn: PlainBatchNorm | None, relu: bool,
-                 pool: int | None):
-        self.name = name
-        self.conv = conv
-        self.bn = bn
-        self.relu = relu
-        self.pool = MaxPool2d(pool) if pool else None
-        self.prunable = False
-
-    def forward(self, x, train: bool = False, update_stats: bool = False):
-        z = self.conv.forward(x)
-        if self.bn is not None:
-            z = self.bn.forward(z)
-        if self.pool is not None:
-            z = self.pool.forward(z)
-        if self.relu:
-            z = np.maximum(z, 0.0)
-        return z
-
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        ho, wo = conv_output_hw(h, w, *self.conv.weight.shape[2:], self.conv.stride,
-                                self.conv.padding)
-        if self.pool is not None:
-            ho, wo = self.pool.out_hw(ho, wo)
-        return (self.conv.out_channels, ho, wo)
-
-
-class PlainLinearBlock:
-    def __init__(self, name, linear: PlainLinear, relu: bool):
-        self.name = name
-        self.linear = linear
-        self.relu = relu
-        self.prunable = False
-
-    def forward(self, x, train: bool = False, update_stats: bool = False):
-        z = self.linear.forward(x)
-        if self.relu:
-            z = np.maximum(z, 0.0)
-        return z
-
-    def out_shape(self, in_shape):
-        return (self.linear.out_channels,)
-
-
-class PlainResidualBlock:
-    def __init__(self, name, conv1, bn1, conv2, bn2, ds):
-        self.name = name
-        self.conv1, self.bn1 = conv1, bn1
-        self.conv2, self.bn2 = conv2, bn2
-        self.ds = ds
-        self.prunable = False
-
-    def forward(self, x, train: bool = False, update_stats: bool = False):
-        z = np.maximum(self.bn1.forward(self.conv1.forward(x)), 0.0)
-        z = self.bn2.forward(self.conv2.forward(z))
-        if self.ds is not None:
-            identity = self.ds[1].forward(self.ds[0].forward(x))
-        else:
-            identity = x
-        return np.maximum(z + identity, 0.0)
-
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        ho, wo = conv_output_hw(h, w, 3, 3, self.conv1.stride, self.conv1.padding)
-        return (self.conv2.out_channels, ho, wo)
+def _release(block) -> None:
+    """Drop what the layers of ``block`` keep for a backward."""
+    for layer in vars(block).values():
+        for attr in _BACKWARD_STATE:
+            if hasattr(layer, attr):
+                setattr(layer, attr, None)
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +347,33 @@ class PrunableRef:
 
 class Model:
     def __init__(self, arch: str, blocks: list, input_shape: tuple[int, int, int],
-                 classes: int, compacted: bool = False):
+                 classes: int):
         self.arch = arch
         self.blocks = blocks
         self.input_shape = tuple(input_shape)
         self.classes = classes
-        self.compacted = compacted
-        self._ran_compacted = False
+        self._ran_eval = False
 
     def forward(self, x, train: bool = True, update_stats: bool = True) -> np.ndarray:
-        """Logits for ``x``.  An eval forward (``train=False``) of a hard-gated
-        model runs through ``self.compact(keep)``, ``keep`` read off the gates
-        (see :meth:`_hard_keep`), so closed channels cost nothing; its logits
-        are that compacted model's, bit for bit.  Every other forward runs each
+        """Logits for ``x``.  An eval forward (``train=False``) keeps nothing
+        for a backward: each block's layers drop their activations as the
+        block returns.  On a hard-gated model it runs through
+        ``self.compact(keep)``, ``keep`` read off the gates (see
+        :meth:`_hard_keep`), so closed channels cost nothing; its logits are
+        that compacted model's, bit for bit.  Every other forward runs each
         block in turn, closed channels included."""
-        keep = None if train or self.compacted else self._hard_keep()
-        self._ran_compacted = keep is not None
+        self._ran_eval = not train
+        keep = None if train else self._hard_keep()
         if keep is not None:
             # what the layers keep for a backward belongs to an older input
-            for _, layer in self._named_layers():
-                layer._cache = None
+            for block in self.blocks:
+                _release(block)
             return self.compact(keep).forward(x, train=False)
         z = _as_array(x)
         for block in self.blocks:
             z = block.forward(z, train=train, update_stats=update_stats)
+            if not train:
+                _release(block)
         return z
 
     def _hard_keep(self) -> dict[str, np.ndarray] | None:
@@ -503,12 +404,12 @@ class Model:
         A masked layer gets a ``gate_grad`` only if its gate is soft, as the
         active prune layer's is; under a 0/1 gate ``gate_grad`` is None.
         Nothing reads the gradient w.r.t. the images, so the first block skips
-        it and this returns None.  A forward that ran compacted drops the
-        layers' caches and leaves nothing to backpropagate through, so a
-        backward after it raises ``ShapeError``."""
-        if self._ran_compacted:
-            raise ShapeError("backward after an eval forward that ran compacted; "
-                             "the gated layers hold no activations for it")
+        it and this returns None.  An eval forward, dense or compacted, leaves
+        no activations to backpropagate through, so a backward after it raises
+        ``ShapeError``."""
+        if self._ran_eval:
+            raise ShapeError("backward after an eval forward; eval forwards, dense or "
+                             "compacted, keep no activations")
         g = _as_array(grad_logits)
         first = self.blocks[0]
         for block in reversed(self.blocks):
@@ -597,10 +498,11 @@ class Model:
         """Physically remove channels whose keep flag is 0.
 
         ``keep`` maps prunable layer names to boolean/0-1 vectors; layers not
-        in the map keep every channel.  Returns a new inference-only model.
+        in the map keep every channel.  Returns a new model of the same block
+        kinds over fresh copies of the kept weights, statistics and biases,
+        every gate open and no velocity: it can be trained, saved and compacted
+        again, and nothing done to this model afterwards reaches it.
         """
-        if self.compacted:
-            raise ShapeError("model is already compacted")
         active = np.ones(self.input_shape[0], dtype=bool)
         shape = self.input_shape
         new_blocks = []
@@ -629,7 +531,7 @@ class Model:
             else:
                 raise ShapeError(f"cannot compact block of type {type(block).__name__}")
             shape = block.out_shape(shape)
-        return Model(self.arch, new_blocks, self.input_shape, self.classes, compacted=True)
+        return Model(self.arch, new_blocks, self.input_shape, self.classes)
 
 
 def _keep_vector(keep: dict[str, np.ndarray], name: str, width: int, prunable: bool) -> np.ndarray:

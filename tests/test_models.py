@@ -15,6 +15,8 @@ from maskprune.layers import (
     BatchNorm2d,
     MaskedConv2d,
     MaskedLinear,
+    MaxPool2d,
+    ReLU,
     sgd_step,
     softmax_cross_entropy,
 )
@@ -54,6 +56,21 @@ def dense_eval(model, x):
     for block in model.blocks:
         z = block.forward(z, train=False)
     return z
+
+
+def backward_state(model) -> list:
+    """What the conv, linear, batch-norm, ReLU and max-pool layers of
+    ``model`` keep from a forward for a backward."""
+    held = []
+    for block in model.blocks:
+        for layer in vars(block).values():
+            if isinstance(layer, (MaskedConv2d, MaskedLinear)):
+                held += [layer._cache, layer._pre_gate]
+            elif isinstance(layer, (BatchNorm2d, MaxPool2d)):
+                held.append(layer._cache)
+            elif isinstance(layer, ReLU):
+                held.append(layer._mask)
+    return [h for h in held if h is not None]
 
 
 def random_keep(model, rng):
@@ -628,7 +645,8 @@ class TestCompactedEval:
         got = model.forward(x, train=False)
         assert calls == []
         assert np.array_equal(got, dense_eval(model, x))
-        model.backward(np.ones_like(got))     # the dense eval forward leaves its caches
+        with pytest.raises(ShapeError, match="eval forward"):
+            model.backward(np.ones_like(got))     # the dense eval forward keeps nothing
 
     def test_backward_after_compacted_eval_raises(self):
         model = build_model("tiny-cnn", 1, 28, 10, seed=3)
@@ -645,6 +663,13 @@ class TestCompactedEval:
         _, grad = softmax_cross_entropy(model.forward(x, train=True), np.arange(4))
         model.backward(grad)
         assert model.blocks[0].conv.weight.grad is not None
+        # a dense eval forward drops every activation too, soft gate included
+        assert backward_state(model)
+        model.prunable()[0].layer.gate[:] = rng.uniform(0.05, 0.95, 8)
+        logits = model.forward(x, train=False)
+        assert backward_state(model) == []
+        with pytest.raises(ShapeError, match="compacted"):
+            model.backward(np.ones_like(logits))
 
     @pytest.mark.parametrize("arch", ["lenet", "vgg16"])
     def test_compact_needs_no_forward(self, arch):
@@ -658,7 +683,62 @@ class TestCompactedEval:
         model = build_model("lenet", 1, 28, 10, seed=2)
         keep = random_keep(model, np.random.default_rng(2))
         small = model.compact(keep)
-        conv2, fc1 = small.blocks[1].conv.weight, small.blocks[3].linear.weight
+        conv2, fc1 = small.blocks[1].conv.weight.data, small.blocks[3].linear.weight.data
         assert conv2.flags.c_contiguous and fc1.flags.c_contiguous
         assert conv2.shape == (keep["conv2"].sum(), keep["conv1"].sum(), 5, 5)
         assert not np.shares_memory(fc1, model.blocks[3].linear.weight.data)
+
+
+ARCH_INPUTS = {"tiny-cnn": (1, 28), "lenet": (1, 28), "vgg16": (3, 32), "resnet56": (3, 32)}
+
+
+def train_step(model, x, lr=0.05):
+    """One forward, backward and SGD step; returns the training logits."""
+    logits = model.forward(x, train=True)
+    _, grad = softmax_cross_entropy(logits, np.arange(len(x)) % model.classes)
+    model.backward(grad)
+    sgd_step(model, lr)
+    return logits
+
+
+def trained_hard_gated(arch, seed=0):
+    """A model of ``arch`` after one training step (so its velocities exist),
+    its prunable gates set to a random 0/1 keep; with an input batch and that
+    keep."""
+    c, hw = ARCH_INPUTS[arch]
+    model = build_model(arch, c, hw, 10, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, c, hw, hw))
+    train_step(model, x)
+    keep = random_keep(model, rng)
+    frozen_strategies(model, keep)
+    return model, x, keep
+
+
+class TestCompactedModel:
+    """A compacted model is an ordinary model over arrays of its own."""
+
+    @pytest.mark.parametrize("arch", list(ARCH_INPUTS))
+    def test_shares_no_array_with_the_gated_model(self, arch):
+        model, x, keep = trained_hard_gated(arch)
+        small = model.compact(keep)
+        state = list(model.state_arrays().values())
+        assert [b.shape for b in _buffers(small)
+                if any(np.shares_memory(b, a) for a in state)] == []
+        before = small.forward(x, train=False)
+        train_step(model, x)
+        assert np.array_equal(small.forward(x, train=False), before)
+
+    @pytest.mark.parametrize("arch", list(ARCH_INPUTS))
+    def test_trains_and_reloads_like_any_model(self, arch):
+        model, x, keep = trained_hard_gated(arch, seed=1)
+        small = model.compact(keep)
+        weights = [p.data.copy() for p, _ in small.param_groups()]
+        assert np.isfinite(train_step(small, x)).all()
+        assert all(p.grad is not None for p, _ in small.param_groups())
+        assert any(not np.array_equal(w, p.data)
+                   for w, (p, _) in zip(weights, small.param_groups()))
+        c, hw = ARCH_INPUTS[arch]
+        fresh = build_model(arch, c, hw, 10, seed=7).compact(keep)
+        fresh.load_state_arrays(small.state_arrays())
+        assert np.array_equal(fresh.forward(x, train=False), small.forward(x, train=False))
