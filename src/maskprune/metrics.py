@@ -16,73 +16,24 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ShapeError
-from .models import ConvBlock, FlattenBlock, LinearBlock, Model, PoolBlock, ResidualBlock
-from .tensor import conv_output_hw
+from .models import Model
 
 
-def _active(layer) -> int:
-    """Output channels of ``layer`` that are not frozen."""
-    return int((~layer.frozen).sum())
-
-
-def _conv_cost(cout: int, cin: int, kh: int, kw: int, ho: int, wo: int) -> int:
-    return cout * cin * kh * kw * ho * wo
-
-
-def count_flops(model: Model, input_hw: int | None = None) -> dict:
-    """Per-layer and total MACs/FLOPs/parameter counts for a model.
-
-    Channels with an off gate are excluded, so a gated model costs what its
-    compaction does.
+def count_flops(model: Model) -> dict:
+    """Per-layer and total MACs/FLOPs/parameter counts for a model at its
+    input shape: one entry per block with weights, from the block's own
+    ``cost``.  Channels with an off gate are excluded, so a gated model costs
+    what its compaction does.
     """
-    c, h, w = model.input_shape
-    if input_hw is not None:
-        h = w = input_hw
-    active_in = c
+    shape = model.input_shape
+    active_in = shape[0]
     layers = []
-
-    def add(name, kind, macs, params):
-        layers.append({"name": name, "kind": kind, "macs": int(macs),
-                       "flops": int(2 * macs), "params": int(params)})
-
     for block in model.blocks:
-        if isinstance(block, ConvBlock):
-            conv = block.conv
-            kh, kw = conv.weight.shape[2:]
-            out_active = _active(conv)
-            ho, wo = conv_output_hw(h, w, kh, kw, conv.stride, conv.padding)
-            params = out_active * active_in * kh * kw + out_active
-            if block.bn is not None:
-                params += 2 * out_active
-            add(block.name, "conv", _conv_cost(out_active, active_in, kh, kw, ho, wo), params)
-            if block.pool is not None:
-                ho, wo = block.pool.out_hw(ho, wo)
-            h, w, active_in = ho, wo, out_active
-        elif isinstance(block, ResidualBlock):
-            w1 = block.conv1.weight.shape
-            w2 = block.conv2.weight.shape
-            internal = _active(block.conv1)
-            ho, wo = conv_output_hw(h, w, w1[2], w1[3], block.conv1.stride, block.conv1.padding)
-            macs = _conv_cost(internal, active_in, w1[2], w1[3], ho, wo)
-            macs += _conv_cost(w2[0], internal, w2[2], w2[3], ho, wo)
-            params = internal * active_in * w1[2] * w1[3] + internal + 2 * internal
-            params += w2[0] * internal * w2[2] * w2[3] + w2[0] + 2 * w2[0]
-            if block.ds_conv is not None:
-                dw = block.ds_conv.weight.shape
-                macs += _conv_cost(dw[0], active_in, dw[2], dw[3], ho, wo)
-                params += dw[0] * active_in * dw[2] * dw[3] + dw[0] + 2 * dw[0]
-            add(block.name, "res", macs, params)
-            h, w, active_in = ho, wo, w2[0]
-        elif isinstance(block, PoolBlock):
-            pass  # global average pooling: channel count unchanged, no MACs
-        elif isinstance(block, FlattenBlock):
-            active_in = active_in * h * w
-        elif isinstance(block, LinearBlock):
-            out_active = _active(block.linear)
-            add(block.name, "fc", out_active * active_in, out_active * active_in + out_active)
-            active_in = out_active
-        else:
-            raise ShapeError(f"cannot count cost of block type {type(block).__name__}")
+        macs, params, active_in = block.cost(shape, active_in)
+        if block.kind is not None:
+            layers.append({"name": block.name, "kind": block.kind, "macs": int(macs),
+                           "flops": int(2 * macs), "params": int(params)})
+        shape = block.out_shape(shape)
     total_macs = sum(l["macs"] for l in layers)
     total_params = sum(l["params"] for l in layers)
     return {"layers": layers, "total_macs": total_macs, "total_flops": 2 * total_macs,

@@ -16,13 +16,20 @@ draws all of that stream's weights, in that order (see
 the same bytes an eager build would, and a model whose state is loaded first
 never draws.
 
-Compaction (`Model.compact`) produces a new model of the same blocks and
-masked layers with pruned channels physically removed: each array is a fresh
-sliced copy and every gate is open, so the result trains, saves and loads like
-any model.  It needs no forward pass: the flatten width comes from each
-block's ``out_shape``, walked from the model's input shape.  Residual blocks
-only ever have their first (in-block) convolution narrowed; the stream width
-entering and leaving a block is fixed.
+Each block kind (conv, linear, residual, global pool, flatten) describes
+itself, so neither `Model` nor :func:`maskprune.metrics.count_flops` switches
+on block type: ``layers()`` yields its weighted layers as ``(suffix, layer)``
+in state order, ``prunable_name`` and ``gated`` name its prunable masked
+layer, ``compacted(active, in_shape, keep)`` returns a copy over its kept
+channels with the channels it leaves open, and ``cost(in_shape, active_in)``
+its MACs, parameters and open output channels under its ``kind`` (``"conv"``,
+``"res"``, ``"fc"``, or None for a block without weights).  Compaction
+(`Model.compact`) and the cost table walk the blocks from the model's input
+shape through each ``out_shape``, so neither needs a forward pass.  A
+compacted model's arrays are fresh sliced copies and every gate is open, so it
+trains, saves and loads like any model.  Residual blocks only ever have their
+first (in-block) convolution narrowed; the stream width entering and leaving a
+block is fixed.
 
 An eval forward (``train=False``) keeps no activations: each block's layers
 drop what they keep for a backward as the block returns, and a backward after
@@ -101,6 +108,35 @@ def _sliced_bn(bn: BatchNorm2d, keep: np.ndarray) -> BatchNorm2d:
     return out
 
 
+def _keep_vector(keep: dict[str, np.ndarray], block) -> np.ndarray:
+    """The channels ``keep`` leaves open in ``block``'s prunable layer."""
+    name, width = block.prunable_name, block.gated.out_channels
+    if name not in keep:
+        return np.ones(width, dtype=bool)
+    if not block.prunable:
+        raise ShapeError(f"layer {name} is not prunable")
+    vec = np.asarray(keep[name]).astype(bool)
+    if vec.shape != (width,):
+        raise ShapeError(f"keep vector for {name} has shape {vec.shape}, expected ({width},)")
+    if not vec.any():
+        raise ShapeError(f"keep vector for {name} removes every channel")
+    return vec
+
+
+def _active(layer) -> int:
+    """Output channels of ``layer`` that are not frozen."""
+    return int((~layer.frozen).sum())
+
+
+def _conv_cost(conv: MaskedConv2d, cout: int, cin: int, ho: int, wo: int,
+               bn: bool = True) -> tuple[int, int]:
+    """MACs and parameters of ``conv`` over ``cout`` filters and ``cin`` input
+    channels writing an ``ho`` x ``wo`` map, with two batch-norm parameters
+    per filter if ``bn``."""
+    kh, kw = conv.weight.shape[2:]
+    return cout * cin * kh * kw * ho * wo, cout * cin * kh * kw + cout + (2 * cout if bn else 0)
+
+
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
@@ -115,6 +151,8 @@ class ConvBlock:
     forward, backward and stored mask work on a tensor k*k times smaller.
     """
 
+    kind = "conv"
+
     def __init__(self, name: str, conv: MaskedConv2d, bn: BatchNorm2d | None = None,
                  relu: bool = True, pool: int | None = None, prunable: bool = True):
         self.name = name
@@ -123,6 +161,14 @@ class ConvBlock:
         self.relu = ReLU() if relu else None
         self.pool = MaxPool2d(pool) if pool else None
         self.prunable = prunable
+
+    @property
+    def prunable_name(self) -> str:
+        return self.name
+
+    @property
+    def gated(self) -> MaskedConv2d:
+        return self.conv
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
         z = self.conv.forward(x, train)
@@ -146,10 +192,10 @@ class ConvBlock:
             g = self.bn.backward(g)
         return self.conv.backward(g, input_grad)
 
-    def param_groups(self):
-        yield from self.conv.param_groups()
+    def layers(self):
+        yield "conv", self.conv
         if self.bn is not None:
-            yield from self.bn.param_groups()
+            yield "bn", self.bn
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -159,15 +205,24 @@ class ConvBlock:
             ho, wo = self.pool.out_hw(ho, wo)
         return (self.conv.out_channels, ho, wo)
 
-    def compacted(self, in_keep: np.ndarray, out_keep: np.ndarray) -> "ConvBlock":
+    def compacted(self, active, in_shape, keep):
+        out_keep = _keep_vector(keep, self)
         bn = None if self.bn is None else _sliced_bn(self.bn, out_keep)
-        return ConvBlock(self.name, _sliced(self.conv, out_keep, in_keep), bn,
+        return ConvBlock(self.name, _sliced(self.conv, out_keep, active), bn,
                          self.relu is not None, self.pool.kernel if self.pool else None,
-                         self.prunable)
+                         self.prunable), out_keep
+
+    def cost(self, in_shape, active_in):
+        _, h, w = in_shape
+        conv, out = self.conv, _active(self.conv)
+        ho, wo = conv_output_hw(h, w, *conv.weight.shape[2:], conv.stride, conv.padding)
+        return (*_conv_cost(conv, out, active_in, ho, wo, self.bn is not None), out)
 
 
 class LinearBlock:
     """linear -> gate -> [relu]"""
+
+    kind = "fc"
 
     def __init__(self, name: str, linear: MaskedLinear, relu: bool = False,
                  prunable: bool = False):
@@ -175,6 +230,14 @@ class LinearBlock:
         self.linear = linear
         self.relu = ReLU() if relu else None
         self.prunable = prunable
+
+    @property
+    def prunable_name(self) -> str:
+        return self.name
+
+    @property
+    def gated(self) -> MaskedLinear:
+        return self.linear
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
         z = self.linear.gate_forward(self.linear.forward(x, train))
@@ -187,21 +250,28 @@ class LinearBlock:
             g = self.relu.backward(g)
         return self.linear.backward(self.linear.gate_backward(g), input_grad)
 
-    def param_groups(self):
-        yield from self.linear.param_groups()
+    def layers(self):
+        yield "linear", self.linear
 
     def out_shape(self, in_shape):
         return (self.linear.out_channels,)
 
-    def compacted(self, in_keep: np.ndarray, out_keep: np.ndarray) -> "LinearBlock":
-        return LinearBlock(self.name, _sliced(self.linear, out_keep, in_keep),
-                           self.relu is not None, self.prunable)
+    def compacted(self, active, in_shape, keep):
+        out_keep = _keep_vector(keep, self)
+        return LinearBlock(self.name, _sliced(self.linear, out_keep, active),
+                           self.relu is not None, self.prunable), out_keep
+
+    def cost(self, in_shape, active_in):
+        out = _active(self.linear)
+        return out * active_in, out * active_in + out, out
 
 
 class ResidualBlock:
     """conv1 -> bn1 -> gate -> relu -> conv2 -> bn2, plus identity/projection
     shortcut, relu over the sum.  Only conv1 is prunable; the stream width is
     part of the block's interface and never narrows."""
+
+    kind = "res"
 
     def __init__(self, name: str, conv1: MaskedConv2d, bn1: BatchNorm2d,
                  conv2: MaskedConv2d, bn2: BatchNorm2d,
@@ -217,6 +287,10 @@ class ResidualBlock:
     @property
     def prunable_name(self) -> str:
         return f"{self.name}.conv1"
+
+    @property
+    def gated(self) -> MaskedConv2d:
+        return self.conv1
 
     def forward(self, x, train: bool = True, update_stats: bool = True):
         z = self.conv1.forward(x, train)
@@ -246,31 +320,44 @@ class ResidualBlock:
             return None
         return gx + gs
 
-    def param_groups(self):
-        for layer in (self.conv1, self.bn1, self.conv2, self.bn2, self.ds_conv, self.ds_bn):
-            if layer is not None:
-                yield from layer.param_groups()
+    def layers(self):
+        for suffix in ("conv1", "bn1", "conv2", "bn2", "ds_conv", "ds_bn"):
+            if getattr(self, suffix) is not None:
+                yield suffix, getattr(self, suffix)
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
         ho, wo = conv_output_hw(h, w, 3, 3, self.conv1.stride, self.conv1.padding)
         return (self.conv2.out_channels, ho, wo)
 
-    def compacted(self, in_keep: np.ndarray, internal_keep: np.ndarray) -> "ResidualBlock":
-        if not in_keep.all():
+    def compacted(self, active, in_shape, keep):
+        if not active.all():
             raise ShapeError(f"residual block {self.name} cannot narrow its input stream")
+        internal = _keep_vector(keep, self)
         stream = np.ones(self.conv2.out_channels, dtype=bool)
         ds_conv = ds_bn = None
         if self.ds_conv is not None:
-            ds_conv, ds_bn = _sliced(self.ds_conv, stream, in_keep), _sliced_bn(self.ds_bn, stream)
-        return ResidualBlock(self.name, _sliced(self.conv1, internal_keep, in_keep),
-                             _sliced_bn(self.bn1, internal_keep),
-                             _sliced(self.conv2, stream, internal_keep),
-                             _sliced_bn(self.bn2, stream), ds_conv, ds_bn)
+            ds_conv, ds_bn = _sliced(self.ds_conv, stream, active), _sliced_bn(self.ds_bn, stream)
+        return ResidualBlock(self.name, _sliced(self.conv1, internal, active),
+                             _sliced_bn(self.bn1, internal),
+                             _sliced(self.conv2, stream, internal),
+                             _sliced_bn(self.bn2, stream), ds_conv, ds_bn), stream
+
+    def cost(self, in_shape, active_in):
+        internal, stream = _active(self.conv1), self.conv2.out_channels
+        _, ho, wo = self.out_shape(in_shape)
+        parts = [_conv_cost(self.conv1, internal, active_in, ho, wo),
+                 _conv_cost(self.conv2, stream, internal, ho, wo)]
+        if self.ds_conv is not None:
+            parts.append(_conv_cost(self.ds_conv, stream, active_in, ho, wo))
+        macs, params = map(sum, zip(*parts))
+        return macs, params, stream
 
 
 class PoolBlock:
     """Global average pooling: [N,C,H,W] -> [N,C]."""
+
+    kind = None
 
     def __init__(self, name: str = "gap"):
         self.name = name
@@ -283,17 +370,24 @@ class PoolBlock:
     def backward(self, g, input_grad: bool = True):
         return self.gap.backward(g) if input_grad else None
 
-    def param_groups(self):
+    def layers(self):
         return iter(())
 
     def out_shape(self, in_shape):
         return (in_shape[0],)
 
-    def compacted(self, in_keep, out_keep):
-        return PoolBlock(self.name)
+    def compacted(self, active, in_shape, keep):
+        return PoolBlock(self.name), active
+
+    def cost(self, in_shape, active_in):
+        return 0, 0, active_in
 
 
 class FlattenBlock:
+    """[N,C,H,W] -> [N,C*H*W]: each input channel becomes H*W features."""
+
+    kind = None
+
     def __init__(self, name: str = "flatten"):
         self.name = name
         self.prunable = False
@@ -305,15 +399,20 @@ class FlattenBlock:
     def backward(self, g, input_grad: bool = True):
         return self.flatten.backward(g) if input_grad else None
 
-    def param_groups(self):
+    def layers(self):
         return iter(())
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
         return (c * h * w,)
 
-    def compacted(self, in_keep, out_keep):
-        return FlattenBlock(self.name)
+    def compacted(self, active, in_shape, keep):
+        _, h, w = in_shape
+        return FlattenBlock(self.name), np.repeat(active, h * w)
+
+    def cost(self, in_shape, active_in):
+        _, h, w = in_shape
+        return 0, 0, active_in * h * w
 
 
 # perfbench/probes.py times methods under these four names; a compacted model
@@ -416,40 +515,19 @@ class Model:
             g = block.backward(g, input_grad=block is not first)
 
     def param_groups(self):
-        for block in self.blocks:
-            yield from block.param_groups()
+        for _, layer in self._named_layers():
+            yield from layer.param_groups()
 
     def prunable(self) -> list[PrunableRef]:
-        refs = []
-        for block in self.blocks:
-            if not getattr(block, "prunable", False):
-                continue
-            if isinstance(block, ConvBlock):
-                refs.append(PrunableRef(block.name, block.conv))
-            elif isinstance(block, LinearBlock):
-                refs.append(PrunableRef(block.name, block.linear))
-            elif isinstance(block, ResidualBlock):
-                refs.append(PrunableRef(block.prunable_name, block.conv1))
-        return refs
+        return [PrunableRef(block.prunable_name, block.gated)
+                for block in self.blocks if block.prunable]
 
     # -- serialization ------------------------------------------------------
 
     def _named_layers(self):
         for block in self.blocks:
-            if isinstance(block, ConvBlock):
-                yield f"{block.name}.conv", block.conv
-                if block.bn is not None:
-                    yield f"{block.name}.bn", block.bn
-            elif isinstance(block, LinearBlock):
-                yield f"{block.name}.linear", block.linear
-            elif isinstance(block, ResidualBlock):
-                yield f"{block.name}.conv1", block.conv1
-                yield f"{block.name}.bn1", block.bn1
-                yield f"{block.name}.conv2", block.conv2
-                yield f"{block.name}.bn2", block.bn2
-                if block.ds_conv is not None:
-                    yield f"{block.name}.ds_conv", block.ds_conv
-                    yield f"{block.name}.ds_bn", block.ds_bn
+            for suffix, layer in block.layers():
+                yield f"{block.name}.{suffix}", layer
 
     def _state_entries(self):
         """Per layer, its state in order: ``(key, Parameter)`` for a trainable
@@ -507,44 +585,10 @@ class Model:
         shape = self.input_shape
         new_blocks = []
         for block in self.blocks:
-            if isinstance(block, ConvBlock):
-                out_keep = _keep_vector(keep, block.name, block.conv.out_channels,
-                                        block.prunable)
-                new_blocks.append(block.compacted(active, out_keep))
-                active = out_keep
-            elif isinstance(block, LinearBlock):
-                out_keep = _keep_vector(keep, block.name, block.linear.out_channels,
-                                        block.prunable)
-                new_blocks.append(block.compacted(active, out_keep))
-                active = out_keep
-            elif isinstance(block, ResidualBlock):
-                internal = _keep_vector(keep, block.prunable_name,
-                                        block.conv1.out_channels, True)
-                new_blocks.append(block.compacted(active, internal))
-                active = np.ones(block.conv2.out_channels, dtype=bool)
-            elif isinstance(block, FlattenBlock):
-                _, h, w = shape
-                active = np.repeat(active, h * w)
-                new_blocks.append(block.compacted(None, None))
-            elif isinstance(block, PoolBlock):
-                new_blocks.append(block.compacted(None, None))
-            else:
-                raise ShapeError(f"cannot compact block of type {type(block).__name__}")
+            new, active = block.compacted(active, shape, keep)
+            new_blocks.append(new)
             shape = block.out_shape(shape)
         return Model(self.arch, new_blocks, self.input_shape, self.classes)
-
-
-def _keep_vector(keep: dict[str, np.ndarray], name: str, width: int, prunable: bool) -> np.ndarray:
-    if name not in keep:
-        return np.ones(width, dtype=bool)
-    if not prunable:
-        raise ShapeError(f"layer {name} is not prunable")
-    vec = np.asarray(keep[name]).astype(bool)
-    if vec.shape != (width,):
-        raise ShapeError(f"keep vector for {name} has shape {vec.shape}, expected ({width},)")
-    if not vec.any():
-        raise ShapeError(f"keep vector for {name} removes every channel")
-    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -383,11 +383,12 @@ class Trainer:
         self._map_in = map_in
         self._scorer_lr = cfg.scorer_lr
 
-        scores = scorer.score(map_in)
-        state.center = anchor_center(scores, state.target, self._schedule.value(),
-                                     cfg.delta_bin)
-        state.soft = scaled_sigmoid(self._schedule.value(), scores, state.center)
-        state.hard = binarize(state.soft)
+        def recenter():
+            state.center = anchor_center(scorer.score(self._map_in), state.target,
+                                         self._schedule.value(), cfg.delta_bin)
+
+        recenter()
+        score_strategy(scorer, state, self._schedule.value(), map_in)
         if (np.minimum(state.soft, 1.0 - state.soft).max() <= cfg.delta_bin
                 and np.array_equal(state.hard, state.target)):
             # already binary and on target at the current sharpness: nothing
@@ -411,9 +412,7 @@ class Trainer:
                     if monitor.observe(state, self._schedule):
                         converged = True
                         break
-                    state.center = anchor_center(
-                        scorer.score(self._map_in), state.target,
-                        self._schedule.value(), cfg.delta_bin)
+                    recenter()
             self.global_epoch += 1
             if converged:
                 break
@@ -429,9 +428,7 @@ class Trainer:
                 self._refresh_target(name)
             if epoch_i >= cfg.prune_epochs:
                 self._scorer_lr *= 0.5
-            state.center = anchor_center(scorer.score(self._map_in),
-                                         state.target, self._schedule.value(),
-                                         cfg.delta_bin)
+            recenter()
             log.info("prune %s epoch %d: kept %d/%d, sharpness %.4g, strategy loss %.4g",
                      name, epoch_i, state.kept, state.target.size,
                      self._schedule.value(), m.loss_strategy)

@@ -25,7 +25,7 @@ from maskprune.layers import (
     sgd_step,
     softmax_cross_entropy,
 )
-from maskprune.models import ConvBlock
+from maskprune.models import ConvBlock, Model
 
 
 def make_conv(cin, cout, k, stride=1, padding=0, seed=0):
@@ -522,19 +522,20 @@ class TestSgdStep:
     def test_matches_the_out_of_place_update_bit_for_bit(self, frozen):
         rng = np.random.default_rng(75)
         conv = MaskedConv2d(rng.normal(size=(6, 3, 3, 3)), rng.normal(size=6))
-        block = ConvBlock("c", conv, BatchNorm2d(6))
+        model = Model("one-block", [ConvBlock("c", conv, BatchNorm2d(6))], (3, 8, 8), 6)
         if frozen:
             conv.gate[[1, 4]] = DELTA_FREEZE / 2
-        params = [p for p, _ in block.param_groups()]
+        params = [p for p, _ in model.param_groups()]
+        assert len(params) == 4  # conv weight and bias, bn gamma and beta
         want = [(p.data.copy(), None) for p in params]
         for _ in range(5):
             grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
                      for p in params]
             want = [reference_sgd(w, v, g, rows, 0.05, 0.9, 5e-4)
-                    for (w, v), g, (_, rows) in zip(want, grads, block.param_groups())]
+                    for (w, v), g, (_, rows) in zip(want, grads, model.param_groups())]
             for p, g in zip(params, grads):
                 p.grad = g
-            sgd_step(block, 0.05, 0.9, 5e-4)
+            sgd_step(model, 0.05, 0.9, 5e-4)
             for p, (w, v) in zip(params, want):
                 assert p.data.tobytes() == w.tobytes()
                 assert p.velocity.tobytes() == v.tobytes()

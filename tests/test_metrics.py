@@ -72,17 +72,26 @@ class TestFlopCounting:
         m.blocks[0].conv.gate[:] = DELTA_FREEZE
         assert count_flops(m)["layers"][0]["macs"] == 442_368
 
-    def test_gated_model_matches_compacted_model(self):
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("arch,channels,size", [
+        ("tiny-cnn", 1, 28), ("lenet", 1, 28), ("vgg16", 3, 32), ("resnet56", 3, 32)])
+    def test_gated_model_matches_compacted_model(self, arch, channels, size, seed):
+        """Every entry, flatten widths and residual projections included: a
+        closed channel costs nothing whether its gate is 0 or frozen above 0."""
         from maskprune.pruning import compact
-        from tests.test_models import frozen_strategies
+        from tests.test_models import frozen_strategies, random_keep
 
-        m = build_model("tiny-cnn", 1, 28, 10, seed=0)
-        keep = {"conv2": np.array([1, 0] * 8), "conv4": np.array([1, 1, 1, 0] * 8)}
-        strategies = frozen_strategies(m, keep)
+        m = build_model(arch, channels, size, 10, seed=seed)
+        dense = count_flops(m)
+        rng = np.random.default_rng(seed)
+        strategies = frozen_strategies(m, random_keep(m, rng))
+        for ref in m.prunable():
+            gate = ref.layer.gate
+            frozen_open = (gate == 0.0) & (rng.random(gate.size) < 0.5)
+            gate[frozen_open] = DELTA_FREEZE * rng.uniform(0.05, 0.95, frozen_open.sum())
         gated = count_flops(m)
-        plain = count_flops(compact(m, strategies))
-        assert gated["total_macs"] == plain["total_macs"]
-        assert gated["total_params"] == plain["total_params"]
+        assert gated["total_macs"] < dense["total_macs"]
+        assert gated == count_flops(compact(m, strategies))
 
     def test_resnet_block_counts_both_convs_and_projection(self):
         m = build_model("resnet56", 3, 32, 10, seed=0)

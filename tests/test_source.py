@@ -1,4 +1,5 @@
-"""Static checks on the package source: every imported name is read."""
+"""Static checks on the package source: every imported name is read, and no
+code switches on block type."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,34 @@ def test_every_import_is_read(path):
     used = read_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never read: {unused}"
+
+
+#: each block kind describes its own layers, compaction and cost
+BLOCK_CLASSES = {"ConvBlock", "LinearBlock", "ResidualBlock", "PoolBlock", "FlattenBlock"}
+
+
+def block_type_checks(tree: ast.Module) -> list[int]:
+    """Lines of the ``isinstance`` calls whose class argument names a block
+    class, alone or in a tuple, bare or as a module attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            classes = node.args[1]
+            for ref in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+                name = ref.attr if isinstance(ref, ast.Attribute) else getattr(ref, "id", None)
+                if name in BLOCK_CLASSES:
+                    lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_isinstance_on_a_block_class(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert block_type_checks(tree) == [], f"{path.name}: isinstance on a block class"
+
+
+def test_block_type_checks_are_found():
+    src = ("isinstance(b, ConvBlock)\nisinstance(b, (int, models.PoolBlock))\n"
+           "isinstance(b, BatchNorm2d)\n")
+    assert block_type_checks(ast.parse(src)) == [1, 2]

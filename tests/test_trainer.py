@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from maskprune.checkpoint import load_checkpoint, save_checkpoint
 from maskprune.config import ExperimentConfig
-from maskprune.data import synthetic_dataset
+from maskprune.data import batches, synthetic_dataset
 from maskprune.errors import ConfigError, NumericalError
 from maskprune.influence import (
     BINARY_CUTOFF,
@@ -16,6 +16,7 @@ from maskprune.influence import (
     binarize,
     scaled_sigmoid,
 )
+from maskprune.metrics import count_flops
 from maskprune.models import build_model
 from maskprune.pruning import SharpnessSchedule, build_plan, lambda_value
 from maskprune.trainer import (
@@ -338,6 +339,29 @@ class TestPipelineSmall:
         assert report.pruned_acc == report.baseline_acc
         assert report.flops_after == report.flops_before
         assert report.params_after == report.params_before
+
+    def test_lenet_run_compacts_through_its_flatten_block(self, tmp_path):
+        """lenet at lr 0.01 converges to its plan, and its compaction, the
+        first to narrow a linear layer's input through a flatten block,
+        reproduces the gated model's logits and cost."""
+        from tests.test_models import dense_eval
+
+        cfg = ExperimentConfig(model="lenet", dataset="synthetic", synthetic_train=1000,
+                               synthetic_test=256, batch_size=64, baseline_epochs=2,
+                               lr=0.01, seed=0, out_dir=str(tmp_path / "run")).validate()
+        report, trainer = run_pipeline(cfg)
+        plan = trainer.plan
+        for name, state in trainer.strategies.items():
+            assert state.status in ("frozen", "skipped"), name
+            assert state.kept == int(plan.targets[name].sum()), name
+        assert report.rate_actual == 1.0 - plan.kept_channels / plan.total_channels
+        assert report.rate_actual > 0.0
+        kept_conv2 = trainer.strategies["conv2"].kept
+        assert trainer.compacted.blocks[3].linear.in_channels == kept_conv2 * 5 * 5
+        for x, _ in batches(trainer.test_ds, 128, 0, cfg.seed, train=False):
+            assert_allclose(dense_eval(trainer.model, x),
+                            trainer.compacted.forward(x, train=False), rtol=0, atol=1e-5)
+        assert count_flops(trainer.model) == count_flops(trainer.compacted)
 
     def test_evaluate_is_deterministic(self, tmp_path):
         cfg = quick_config(tmp_path, baseline_epochs=1)
