@@ -22,7 +22,9 @@ weight and the gradient the backward leaves here, only where it is read.
 A weight is drawn when it is first read, not when its layer is built: a
 :class:`Parameter` made by a :class:`_DrawStream` knows its ``shape`` at once
 and draws its ``data`` on the first read, so a weight that is assigned (say,
-loaded from a checkpoint) before anything reads it is never drawn at all.
+loaded from a checkpoint) before anything reads it is never drawn at all.  A
+slice of a weight not yet drawn (``Parameter.sliced``) is not drawn either:
+its first read draws the source and cuts the slice from it.
 
 Every ``forward``/``backward`` here takes any array-like and returns a
 C-contiguous float64 ndarray.
@@ -88,6 +90,57 @@ class Parameter:
         else:
             np.copyto(self.velocity, velocity)
 
+    def sliced(self, *keeps: np.ndarray, velocity: bool = False) -> "Parameter":
+        """A new parameter over a copy of the entries ``keeps`` selects, one
+        boolean vector per leading axis, with the matching velocity entries if
+        ``velocity``.  A parameter not yet drawn gives one not yet drawn: its
+        first read draws this one and slices it, so one assigned first never
+        draws."""
+        if self._stream is not None:
+            shape = tuple(map(np.count_nonzero, keeps)) + self._shape[len(keeps):]
+            return _SliceOf(self, keeps).add(shape)
+        index = _index(keeps)
+        out = Parameter(self._data[index])
+        if velocity and self.velocity is not None:
+            out.velocity = np.ascontiguousarray(self.velocity[index])
+        return out
+
+
+def _index(keeps: tuple[np.ndarray, ...]):
+    """The index that selects ``keeps``, one boolean vector per leading axis;
+    ``np.ix_`` makes the copy it takes C-contiguous."""
+    return np.ix_(*keeps) if len(keeps) > 1 else keeps[0]
+
+
+def _undrawn(stream, shape: tuple[int, ...]) -> Parameter:
+    """A parameter of ``shape`` with no array until ``stream.draw()`` gives it
+    one, which its first read calls."""
+    p = Parameter.__new__(Parameter)
+    p._data = None
+    p._shape = tuple(shape)
+    p._stream = stream
+    p.grad = p.velocity = None
+    return p
+
+
+class _SliceOf:
+    """One not-yet-drawn parameter's slice, cut from it when first read."""
+
+    def __init__(self, source: Parameter, keeps: tuple[np.ndarray, ...]):
+        self._source, self._keeps = source, keeps
+        self._target = None
+
+    def add(self, shape: tuple[int, ...]) -> Parameter:
+        """The slice, a parameter of ``shape``, held by weak reference."""
+        p = _undrawn(self, shape)
+        self._target = weakref.ref(p)
+        return p
+
+    def draw(self) -> None:
+        p = self._target()
+        if p is not None and p._stream is self:
+            p.data = np.ascontiguousarray(self._source.data[_index(self._keeps)])
+
 
 class _DrawStream:
     """Parameters whose arrays are drawn in sequence from one generator.
@@ -110,11 +163,7 @@ class _DrawStream:
 
     def add(self, shape: tuple[int, ...], draw) -> Parameter:
         """A parameter of ``shape`` whose array will be ``draw(rng)``."""
-        p = Parameter.__new__(Parameter)
-        p._data = None
-        p._shape = tuple(shape)
-        p._stream = self
-        p.grad = p.velocity = None
+        p = _undrawn(self, shape)
         self._pending.append((weakref.ref(p), draw))
         return p
 
@@ -154,12 +203,12 @@ class _MaskedLayer:
     soft * (1 - soft), which is exactly 0 at a 0/1 entry.
     """
 
-    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray, rank: int,
-                 layout: str):
+    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray | Parameter,
+                 rank: int, layout: str):
         self.weight = weight if isinstance(weight, Parameter) else Parameter(weight)
         if len(self.weight.shape) != rank:
             raise ShapeError(f"{layout}, got rank {len(self.weight.shape)}")
-        self.bias = Parameter(bias)
+        self.bias = bias if isinstance(bias, Parameter) else Parameter(bias)
         self.gate = np.ones(self.out_channels, dtype=np.float64)
         self.gate_grad: np.ndarray | None = None
         self._pre_gate = None
@@ -197,8 +246,8 @@ class _MaskedLayer:
 class MaskedConv2d(_MaskedLayer):
     """2-D convolution with a per-filter gate."""
 
-    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray, stride: int = 1,
-                 padding: int = 0):
+    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray | Parameter,
+                 stride: int = 1, padding: int = 0):
         super().__init__(weight, bias, 4, "conv weight must be OIHW")
         self.stride = int(stride)
         self.padding = int(padding)
@@ -233,7 +282,7 @@ class MaskedLinear(_MaskedLayer):
     A "channel" of a linear layer is one output unit (one weight row).
     """
 
-    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray):
+    def __init__(self, weight: np.ndarray | Parameter, bias: np.ndarray | Parameter):
         super().__init__(weight, bias, 2, "linear weight must be [out, in]")
 
     def forward(self, x, train: bool = True):

@@ -20,16 +20,22 @@ Each block kind (conv, linear, residual, global pool, flatten) describes
 itself, so neither `Model` nor :func:`maskprune.metrics.count_flops` switches
 on block type: ``layers()`` yields its weighted layers as ``(suffix, layer)``
 in state order, ``prunable_name`` and ``gated`` name its prunable masked
-layer, ``compacted(active, in_shape, keep)`` returns a copy over its kept
-channels with the channels it leaves open, and ``cost(in_shape, active_in)``
-its MACs, parameters and open output channels under its ``kind`` (``"conv"``,
-``"res"``, ``"fc"``, or None for a block without weights).  Compaction
-(`Model.compact`) and the cost table walk the blocks from the model's input
-shape through each ``out_shape``, so neither needs a forward pass.  A
-compacted model's arrays are fresh sliced copies and every gate is open, so it
-trains, saves and loads like any model.  Residual blocks only ever have their
-first (in-block) convolution narrowed; the stream width entering and leaving a
-block is fixed.
+layer, ``compacted(active, in_shape, keep, narrow)`` returns a copy over its
+kept channels with the channels it leaves open, and ``cost(in_shape,
+active_in)`` its MACs, parameters and open output channels under its ``kind``
+(``"conv"``, ``"res"``, ``"fc"``, or None for a block without weights).
+Compaction (`Model.compact`), narrowing (`Model.narrow`) and the cost table
+walk the blocks from the model's input shape through each ``out_shape``, so
+none needs a forward pass.  A compacted model's arrays are fresh sliced copies
+with every gate open and no velocity, so it trains, saves and loads like any
+model.  Narrowing slices a model in place for further training: the block of
+a layer with closed channels and the blocks that read them are replaced by
+slices that carry the kept gate, velocity and running-statistic entries too.
+The trainer narrows each layer as it freezes it.  Slicing a weight not yet
+drawn draws nothing (``Parameter.sliced``), so a fresh model narrowed to a
+checkpoint's shapes and loaded never draws.  Residual blocks only ever have
+their first (in-block) convolution narrowed; the stream width entering and
+leaving a block is fixed.
 
 An eval forward (``train=False``) keeps no activations: each block's layers
 drop what they keep for a backward as the block returns, and a backward after
@@ -38,7 +44,8 @@ gate is 0/1 with at least one channel closed and none of those layers closed
 entirely, and every other gate is all ones, ``Model.forward`` returns
 ``self.compact(keep).forward(x)`` with ``keep`` read off the gates, so closed
 channels are never computed.  Training, soft gates, gates frozen at a nonzero
-value and all-open gates run the dense path.
+value and all-open gates run the dense path; so does a narrowed model, whose
+gates are all open.
 """
 
 from __future__ import annotations
@@ -88,22 +95,30 @@ def _linear_weight(init: _DrawStream, out, inp) -> Parameter:
     return init.add((out, inp), functools.partial(_he_linear, out=out, inp=inp))
 
 
-def _sliced(layer, out_keep: np.ndarray, in_keep: np.ndarray):
+def _sliced(layer, out_keep: np.ndarray, in_keep: np.ndarray, narrow: bool = False):
     """A fresh masked layer over copies of ``layer``'s weight rows ``out_keep``
-    and columns ``in_keep`` and its bias entries ``out_keep``, its gate open.
-    One ``np.ix_`` index yields a C-contiguous weight copy, so its matmul takes
-    the same BLAS path as the source layer's."""
-    weight = layer.weight.data[np.ix_(out_keep, in_keep)]
-    bias = layer.bias.data[out_keep]
+    and columns ``in_keep`` and its bias entries ``out_keep``.  Its gate is open
+    and it has no velocity, unless ``narrow``: then it carries the gate and
+    velocity entries of the channels it keeps.  One ``np.ix_`` index yields a
+    C-contiguous weight copy, so its matmul takes the same BLAS path as the
+    source layer's; a weight not yet drawn stays undrawn (``Parameter.sliced``)."""
+    weight = layer.weight.sliced(out_keep, in_keep, velocity=narrow)
+    bias = layer.bias.sliced(out_keep, velocity=narrow)
     if isinstance(layer, MaskedLinear):
-        return MaskedLinear(weight, bias)
-    return MaskedConv2d(weight, bias, layer.stride, layer.padding)
+        out = MaskedLinear(weight, bias)
+    else:
+        out = MaskedConv2d(weight, bias, layer.stride, layer.padding)
+    if narrow:
+        out.gate = layer.gate[out_keep]
+    return out
 
 
-def _sliced_bn(bn: BatchNorm2d, keep: np.ndarray) -> BatchNorm2d:
-    """A fresh batch norm over copies of ``bn``'s channels ``keep``."""
+def _sliced_bn(bn: BatchNorm2d, keep: np.ndarray, narrow: bool = False) -> BatchNorm2d:
+    """A fresh batch norm over copies of ``bn``'s channels ``keep``, with
+    their velocities if ``narrow``."""
     out = BatchNorm2d(int(keep.sum()), bn.momentum, bn.eps)
-    out.gamma.data, out.beta.data = bn.gamma.data[keep], bn.beta.data[keep]
+    out.gamma, out.beta = (bn.gamma.sliced(keep, velocity=narrow),
+                           bn.beta.sliced(keep, velocity=narrow))
     out.running_mean, out.running_var = bn.running_mean[keep], bn.running_var[keep]
     return out
 
@@ -205,10 +220,10 @@ class ConvBlock:
             ho, wo = self.pool.out_hw(ho, wo)
         return (self.conv.out_channels, ho, wo)
 
-    def compacted(self, active, in_shape, keep):
+    def compacted(self, active, in_shape, keep, narrow=False):
         out_keep = _keep_vector(keep, self)
-        bn = None if self.bn is None else _sliced_bn(self.bn, out_keep)
-        return ConvBlock(self.name, _sliced(self.conv, out_keep, active), bn,
+        bn = None if self.bn is None else _sliced_bn(self.bn, out_keep, narrow)
+        return ConvBlock(self.name, _sliced(self.conv, out_keep, active, narrow), bn,
                          self.relu is not None, self.pool.kernel if self.pool else None,
                          self.prunable), out_keep
 
@@ -256,9 +271,9 @@ class LinearBlock:
     def out_shape(self, in_shape):
         return (self.linear.out_channels,)
 
-    def compacted(self, active, in_shape, keep):
+    def compacted(self, active, in_shape, keep, narrow=False):
         out_keep = _keep_vector(keep, self)
-        return LinearBlock(self.name, _sliced(self.linear, out_keep, active),
+        return LinearBlock(self.name, _sliced(self.linear, out_keep, active, narrow),
                            self.relu is not None, self.prunable), out_keep
 
     def cost(self, in_shape, active_in):
@@ -330,18 +345,19 @@ class ResidualBlock:
         ho, wo = conv_output_hw(h, w, 3, 3, self.conv1.stride, self.conv1.padding)
         return (self.conv2.out_channels, ho, wo)
 
-    def compacted(self, active, in_shape, keep):
+    def compacted(self, active, in_shape, keep, narrow=False):
         if not active.all():
             raise ShapeError(f"residual block {self.name} cannot narrow its input stream")
         internal = _keep_vector(keep, self)
         stream = np.ones(self.conv2.out_channels, dtype=bool)
         ds_conv = ds_bn = None
         if self.ds_conv is not None:
-            ds_conv, ds_bn = _sliced(self.ds_conv, stream, active), _sliced_bn(self.ds_bn, stream)
-        return ResidualBlock(self.name, _sliced(self.conv1, internal, active),
-                             _sliced_bn(self.bn1, internal),
-                             _sliced(self.conv2, stream, internal),
-                             _sliced_bn(self.bn2, stream), ds_conv, ds_bn), stream
+            ds_conv = _sliced(self.ds_conv, stream, active, narrow)
+            ds_bn = _sliced_bn(self.ds_bn, stream, narrow)
+        return ResidualBlock(self.name, _sliced(self.conv1, internal, active, narrow),
+                             _sliced_bn(self.bn1, internal, narrow),
+                             _sliced(self.conv2, stream, internal, narrow),
+                             _sliced_bn(self.bn2, stream, narrow), ds_conv, ds_bn), stream
 
     def cost(self, in_shape, active_in):
         internal, stream = _active(self.conv1), self.conv2.out_channels
@@ -376,7 +392,7 @@ class PoolBlock:
     def out_shape(self, in_shape):
         return (in_shape[0],)
 
-    def compacted(self, active, in_shape, keep):
+    def compacted(self, active, in_shape, keep, narrow=False):
         return PoolBlock(self.name), active
 
     def cost(self, in_shape, active_in):
@@ -406,7 +422,7 @@ class FlattenBlock:
         c, h, w = in_shape
         return (c * h * w,)
 
-    def compacted(self, active, in_shape, keep):
+    def compacted(self, active, in_shape, keep, narrow=False):
         _, h, w = in_shape
         return FlattenBlock(self.name), np.repeat(active, h * w)
 
@@ -589,6 +605,35 @@ class Model:
             new_blocks.append(new)
             shape = block.out_shape(shape)
         return Model(self.arch, new_blocks, self.input_shape, self.classes)
+
+    def narrow(self, keep: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Physically remove, in place, the channels whose keep flag is 0.
+
+        ``keep`` maps prunable layer names to boolean keep vectors over the
+        layers' current widths.  Each block with a closed channel in ``keep``,
+        and each block that reads one, is replaced by its slice over the open
+        channels; the slice carries the kept entries of every gate, velocity
+        and running statistic, so training goes on as if the closed channels,
+        which only ever carried zeros, were still there.  Other blocks are left
+        as they are, and a weight not yet drawn stays undrawn.  Returns, per
+        weighted block whose input was narrowed, its prunable name and the
+        inputs it still reads, over its former input width.
+        """
+        active = np.ones(self.input_shape[0], dtype=bool)
+        shape = self.input_shape
+        read = {}
+        for i, block in enumerate(self.blocks):
+            weighted = block.kind is not None
+            reads_closed = not active.all()
+            if reads_closed and weighted:
+                read[block.prunable_name] = active
+            out_shape = block.out_shape(shape)
+            if reads_closed or weighted and not np.all(keep.get(block.prunable_name, True)):
+                self.blocks[i], active = block.compacted(active, shape, keep, narrow=True)
+            else:
+                active = np.ones(out_shape[0], dtype=bool)
+            shape = out_shape
+        return read
 
 
 # ---------------------------------------------------------------------------

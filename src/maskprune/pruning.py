@@ -177,11 +177,11 @@ def has_converged(history: list[np.ndarray], delta_bin: float = 0.01, window: in
     return True
 
 
-def compact(model, strategies: dict) -> "Model":
-    """Physically remove the channels whose frozen hard pattern is 0.
+def frozen_keep(strategies: dict) -> dict[str, np.ndarray]:
+    """Each layer's frozen hard pattern as a boolean keep vector.
 
     Every prunable layer must hold a frozen strategy (or have been skipped
-    with an all-keep pattern); refusing to compact a half-annealed model
+    with its target already met); refusing to compact a half-annealed model
     keeps the operation prediction-preserving.
     """
     keep = {}
@@ -191,4 +191,10 @@ def compact(model, strategies: dict) -> "Model":
                 f"cannot compact: strategy for layer {name} is {state.status}, not frozen"
             )
         keep[name] = state.hard.astype(bool)
-    return model.compact(keep)
+    return keep
+
+
+def compact(model, strategies: dict) -> "Model":
+    """Physically remove the channels whose frozen hard pattern is 0, from a
+    model still at full width (see :func:`frozen_keep`)."""
+    return model.compact(frozen_keep(strategies))

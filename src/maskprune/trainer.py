@@ -10,8 +10,17 @@ pure functions of (seed, epoch/index), so a resumed run replays exactly.
 
 During a layer's prune stage its gates carry the soft keep probabilities, so
 classification gradients flow into the scorer while the sharpness anneal
-pushes the probabilities to 0/1.  Afterwards the gates hold the frozen hard
-pattern ("false pruning") until compaction physically removes the channels.
+pushes the probabilities to 0/1 ("false pruning").  When the stage freezes the
+layer, or skips it with a channel closed, `Model.narrow` removes the closed
+channels from the trained model, along with the input columns that read them,
+so later stages train only open channels.  Strategies, targets and influence
+maps stay at full width; the active layer's influence is scattered back to it,
+with 0.0 in the input columns narrowing removed (their gradient was exactly 0,
+since they only ever multiplied zeros).  Unlike a full-width run, weight decay
+no longer shrinks those columns; they never reach the compacted model either
+way.  Checkpoints hold the narrowed arrays, and a load narrows the fresh model
+from the stored hard patterns first.  At the end every layer is narrowed, so
+the compacted model is a copy.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from . import pruning
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, write_effective_config
 from .data import Dataset, batches, cifar10_dataset, mnist_dataset, synthetic_dataset
-from .errors import ConfigError, ConvergenceError, NumericalError
+from .errors import ConfigError, ConvergenceError, NumericalError, ShapeError
 from .influence import (
     BINARY_CUTOFF,
     ChannelScorer,
@@ -229,6 +238,8 @@ class Trainer:
         self.phase_seconds: dict[str, float] = {}
         self.out_dir = Path(cfg.out_dir)
         self.stage: str | None = None  # stage id a failing train_step reports
+        # per layer whose input narrowing cut, the inputs it still reads
+        self._in_cols: dict[str, np.ndarray] = {}
 
     # -- data/loss plumbing ---------------------------------------------
 
@@ -363,38 +374,65 @@ class Trainer:
             target[order[:k0]] = 0
         self.strategies[name].target = target
 
+    def _start_prune(self, name: str, epochs: int) -> None:
+        """Make ``name`` the active layer: a fresh influence sum for
+        ``train_step`` to feed, an anneal over ``epochs`` epochs and a scorer
+        over the layer's map."""
+        cfg = self.cfg
+        state = self.strategies[name]
+        state.status = "active"
+        state.history = []
+        self._influence = InfluenceSum(self.prunable[name].layer)
+        total = max(1, epochs * self.steps_per_epoch())
+        self._schedule = SharpnessSchedule(cfg.anneal_start,
+                                           cfg.anneal_start * cfg.anneal_end_factor, total,
+                                           boost_factor=cfg.stall_boost)
+        self._map_in = np.abs(self.maps[name].values)
+        self.scorers[name] = ChannelScorer(self._map_in.shape[1:])
+        self.scorers[name].rescale_for_spread(self._map_in, cfg.score_margin)
+        self._scorer_lr = cfg.scorer_lr
+
+    def _captured_map(self, name: str) -> InfluenceMap:
+        """Drain the active layer's influence sum into a de-gated map at the
+        layer's full width.  Input columns that narrowing removed read 0.0:
+        they only ever multiplied zeros, so their gradient, and their
+        influence, was exactly 0."""
+        fresh = capture_influence(self._influence, name, degate=True)
+        cols = self._in_cols.get(name)
+        if cols is not None:
+            values = np.zeros(fresh.values.shape[:1] + cols.shape + fresh.values.shape[2:])
+            values[:, cols] = fresh.values
+            fresh.values = values
+        return fresh
+
+    def _narrow(self, keep: dict[str, np.ndarray]) -> None:
+        """Narrow the model over the open channels of ``keep``'s layers (see
+        :meth:`Model.narrow`); strategies, targets and maps stay at full
+        width."""
+        self._in_cols.update(self.model.narrow(keep))
+        self.prunable = {ref.name: ref for ref in self.model.prunable()}
+
     def _stage_prune(self, phase: Phase) -> None:
         cfg = self.cfg
         name = phase.layer
         ref = self.prunable[name]
         state = self.strategies[name]
-        state.status = "active"
-        state.history = []
-        self._influence = InfluenceSum(ref.layer)  # fed by train_step
-
-        total = max(1, phase.epochs * self.steps_per_epoch())
-        self._schedule = SharpnessSchedule(cfg.anneal_start,
-                                           cfg.anneal_start * cfg.anneal_end_factor, total,
-                                           boost_factor=cfg.stall_boost)
-        map_in = np.abs(self.maps[name].values)
-        scorer = ChannelScorer(map_in.shape[1:])
-        scorer.rescale_for_spread(map_in, cfg.score_margin)
-        self.scorers[name] = scorer
-        self._map_in = map_in
-        self._scorer_lr = cfg.scorer_lr
+        self._start_prune(name, phase.epochs)
+        scorer = self.scorers[name]
 
         def recenter():
             state.center = anchor_center(scorer.score(self._map_in), state.target,
                                          self._schedule.value(), cfg.delta_bin)
 
         recenter()
-        score_strategy(scorer, state, self._schedule.value(), map_in)
+        score_strategy(scorer, state, self._schedule.value(), self._map_in)
         if (np.minimum(state.soft, 1.0 - state.soft).max() <= cfg.delta_bin
                 and np.array_equal(state.hard, state.target)):
             # already binary and on target at the current sharpness: nothing
             # to anneal (typical for an all-keep target)
             ref.layer.gate[:] = state.hard
             state.status = "skipped"
+            self._narrow({name: state.hard.astype(bool)})
             log.info("prune %s: target already satisfied, skipping", name)
             return
 
@@ -422,7 +460,7 @@ class Trainer:
                 # against the fixed global threshold.  Extension epochs past
                 # the schedule keep the target fixed so the strategy can
                 # settle instead of chasing measurement drift.
-                fresh = capture_influence(self._influence, name, degate=True)
+                fresh = self._captured_map(name)
                 self.maps[name] = ema_merge(self.maps[name], fresh, cfg.ema_decay)
                 self._map_in = np.abs(self.maps[name].values)
                 self._refresh_target(name)
@@ -439,6 +477,7 @@ class Trainer:
         state.hard = binarize(state.soft)
         ref.layer.gate[:] = state.hard
         state.status = "frozen"
+        self._narrow({name: state.hard.astype(bool)})
         log.info("prune %s frozen: kept %d/%d channels", name, state.kept,
                  state.target.size)
 
@@ -483,9 +522,13 @@ class Trainer:
                 return
 
     def finish(self) -> RunReport:
-        """Compact, evaluate, and assemble the report (after all stages ran)."""
+        """Compact, evaluate, and assemble the report (after all stages ran).
+
+        Each prune stage narrowed its layer as it froze it, so the compacted
+        model is a copy of ``self.model``: fresh arrays, no velocity."""
         t0 = time.perf_counter()
-        compacted = pruning.compact(self.model, self.strategies)
+        pruning.frozen_keep(self.strategies)
+        compacted = self.model.compact({})
         pruned_acc = self.evaluate(compacted)
         cost_after = count_flops(compacted)
         kept = sum(s.kept for s in self.strategies.values())
@@ -545,31 +588,42 @@ class Trainer:
         if diffs:
             raise ConfigError(f"checkpoint {path} belongs to a different run ("
                               + "; ".join(diffs) + ")")
-        self.model.load_state_arrays(arrays)
-        self.completed = list(meta["completed"])
-        self.global_epoch = int(meta["global_epoch"])
-        self.metrics = dict(meta["metrics"])
-        self.phase_seconds = dict(meta["phase_seconds"])
         samples = meta.get("map_samples", {})
-        self.maps = {}
-        self.strategies = {}
-        self.scorers = {}
+        maps, strategies, scorers = {}, {}, {}
         for name in self.prunable:
             key = f"map.{name}.values"
             if key in arrays:
-                self.maps[name] = InfluenceMap(name, arrays[key], int(samples.get(name, 0)))
+                maps[name] = InfluenceMap(name, arrays[key], int(samples.get(name, 0)))
             skey = f"strategy.{name}.soft"
             if skey in arrays:
                 s_meta = meta["strategy_meta"][name]
-                self.strategies[name] = StrategyState(
+                strategies[name] = StrategyState(
                     layer=name, soft=arrays[skey], hard=arrays[f"strategy.{name}.hard"],
                     target=arrays[f"strategy.{name}.target"], center=float(s_meta["center"]),
                     status=s_meta["status"], history_cap=self.cfg.window)
             kkey = f"scorer.{name}.kernel"
             if kkey in arrays:
-                sc = ChannelScorer(arrays[kkey].shape, kernel=arrays[kkey],
-                                   bias=float(arrays[f"scorer.{name}.bias"][0]))
-                self.scorers[name] = sc
+                scorers[name] = ChannelScorer(arrays[kkey].shape, kernel=arrays[kkey],
+                                              bias=float(arrays[f"scorer.{name}.bias"][0]))
+        # the stored model is narrowed over every frozen or skipped layer's
+        # open channels; the fresh one gets the same shapes, drawing nothing
+        closed = {n: s.hard.astype(bool) for n, s in strategies.items()
+                  if s.status in ("frozen", "skipped") and not s.hard.all()}
+        blocks, in_cols = list(self.model.blocks), dict(self._in_cols)
+        try:
+            if closed:
+                self._narrow(closed)
+            self.model.load_state_arrays(arrays)
+        except ShapeError:
+            # a refused state leaves the model as it was
+            self.model.blocks[:], self._in_cols = blocks, in_cols
+            self.prunable = {ref.name: ref for ref in self.model.prunable()}
+            raise
+        self.completed = list(meta["completed"])
+        self.global_epoch = int(meta["global_epoch"])
+        self.metrics = dict(meta["metrics"])
+        self.phase_seconds = dict(meta["phase_seconds"])
+        self.maps, self.strategies, self.scorers = maps, strategies, scorers
         if meta.get("plan"):
             targets = {n: self.strategies[n].target for n in self.prunable
                        if n in self.strategies}

@@ -143,6 +143,19 @@ class TestStageChain:
         err = capsys.readouterr().err
         assert "remaining stages" in err and "prune:conv1" in err
 
+    def test_a_full_width_state_with_a_frozen_layer_is_a_runtime_failure(self, run, tmp_path,
+                                                                           capsys):
+        # a prune-stage checkpoint holds its frozen layers narrowed; one whose
+        # model arrays are full width names the first array that does not fit
+        meta, arrays = load_checkpoint(run["out"] / "checkpoint-prune-conv1.ckpt")
+        _, measured = load_checkpoint(run["out"] / "checkpoint-measure.ckpt")
+        model = {k: v for k, v in measured.items()
+                 if not k.startswith(("map.", "strategy.", "scorer."))}
+        ckpt = save_checkpoint(tmp_path / "full.ckpt", meta, {**arrays, **model})
+        assert main(["eval", "--config", str(run["cfg"]), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "state array conv1.conv.weight" in err
+
     def test_resumed_run_matches_straight_run(self, run, capsys):
         # a single finetune from scratch must produce the same report as the
         # chained train/prune/finetune above (timings aside)

@@ -187,6 +187,19 @@ def model_weights(model):
     return [p for p, _ in model.param_groups() if len(p.shape) > 1]
 
 
+def count_draws(monkeypatch) -> list:
+    """Every generator made from now on, as a list that grows."""
+    made = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        made.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    return made
+
+
 class TestDeferredDraw:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("arch", list(ARCH_INPUTS))
@@ -205,14 +218,7 @@ class TestDeferredDraw:
     def test_a_loaded_model_never_draws(self, monkeypatch):
         state = {k: v.copy() for k, v in
                  build_model("resnet56", 3, 32, 10, seed=1).state_arrays().items()}
-        made = []
-        philox = np.random.Philox
-
-        def counting_philox(*args, **kwargs):
-            made.append(kwargs)
-            return philox(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        made = count_draws(monkeypatch)
         model = build_model("resnet56", 3, 32, 10, seed=0)
         widths = [ref.layer.out_channels for ref in model.prunable()]
         cost = count_flops(model)
@@ -742,3 +748,116 @@ class TestCompactedModel:
         fresh = build_model(arch, c, hw, 10, seed=7).compact(keep)
         fresh.load_state_arrays(small.state_arrays())
         assert np.array_equal(fresh.forward(x, train=False), small.forward(x, train=False))
+
+    @pytest.mark.parametrize("arch", list(ARCH_INPUTS))
+    def test_carries_no_velocity_and_serves_the_gated_forward(self, arch):
+        """The eval path compacts on every hard-gated forward: that copy holds
+        no velocity, and its logits are the dense gated ones."""
+        model, x, keep = trained_hard_gated(arch, seed=2)
+        assert any(k.endswith(".velocity") for k in model.state_arrays())
+        small = model.compact(keep)
+        assert [k for k in small.state_arrays() if k.endswith(".velocity")] == []
+        assert all(p.velocity is None for p, _ in small.param_groups())
+        assert_allclose(model.forward(x, train=False), dense_eval(model, x), rtol=0, atol=1e-5)
+
+
+class TestNarrow:
+    """``Model.narrow`` slices a model in place over its open channels."""
+
+    @pytest.mark.parametrize("arch", list(ARCH_INPUTS))
+    def test_is_the_compacted_model_with_its_velocities(self, arch):
+        model, x, keep = trained_hard_gated(arch, seed=3)
+        small = model.compact(keep)
+        gated = dense_eval(model, x)
+        velocities = {k for k in model.state_arrays() if k.endswith(".velocity")}
+        blocks = model.blocks
+        model.narrow(keep)
+        assert model.blocks is blocks
+        state, want = model.state_arrays(), small.state_arrays()
+        assert {k for k in state if not k.endswith(".velocity")} == set(want)
+        for key, value in want.items():
+            assert state[key].tobytes() == value.tobytes(), key
+        assert {k for k in state if k.endswith(".velocity")} == velocities
+        for key in velocities:
+            assert state[key].shape == state[key[:-len(".velocity")]].shape, key
+        assert [ref.name for ref in model.prunable()] == list(keep)
+        assert_allclose(model.forward(x, train=False), gated, rtol=0, atol=1e-12)
+
+    def test_reports_the_inputs_each_narrowed_reader_keeps(self):
+        model, _, keep = trained_hard_gated("lenet", seed=4)
+        read = model.narrow(keep)
+        keep = {n: v.astype(bool) for n, v in keep.items()}
+        assert sorted(read) == ["conv2", "fc1", "fc2", "fc3"]
+        assert np.array_equal(read["conv2"], keep["conv1"])
+        assert np.array_equal(read["fc1"], np.repeat(keep["conv2"], 5 * 5))
+        assert np.array_equal(read["fc2"], keep["fc1"])
+        assert np.array_equal(read["fc3"], keep["fc2"])
+        assert model.blocks[3].linear.in_channels == keep["conv2"].sum() * 5 * 5
+
+    def test_a_residual_stream_is_never_narrowed(self):
+        model, _, keep = trained_hard_gated("resnet56", seed=5)
+        assert model.narrow(keep) == {}
+        widths = [16] * 9 + [32] * 9 + [64] * 9
+        for block, stream, width in zip(model.blocks[1:-2], [16] + widths, widths):
+            assert (block.conv1.in_channels, block.conv2.out_channels) == (stream, width)
+            kept = keep[block.prunable_name].sum()
+            assert block.conv1.out_channels == block.conv2.in_channels == kept
+
+    def test_leaves_blocks_with_every_channel_open_as_they_are(self):
+        model, _, keep = trained_hard_gated("tiny-cnn", seed=6)
+        before = list(model.blocks)
+        assert model.narrow({"conv3": np.ones(24, dtype=bool)}) == {}
+        assert all(a is b for a, b in zip(model.blocks, before))
+        model.narrow({"conv3": keep["conv3"]})
+        assert [a is b for a, b in zip(model.blocks, before)] == [
+            True, True, False, False, True, True]
+
+    def test_an_undrawn_model_narrows_and_loads_without_drawing(self, monkeypatch):
+        src = build_model("lenet", 1, 28, 10, seed=1)
+        keep = random_keep(src, np.random.default_rng(7))
+        src.narrow(keep)
+        state = {k: v.copy() for k, v in src.state_arrays().items()}
+        conv1, conv2 = (keep[n].astype(bool) for n in ("conv1", "conv2"))
+        want = eager_weights("lenet", 0)[1][np.ix_(conv2, conv1)]
+        made = count_draws(monkeypatch)
+        model = build_model("lenet", 1, 28, 10, seed=0)
+        model.narrow(keep)
+        model.load_state_arrays(state)
+        assert made == []
+        for key, value in model.state_arrays().items():
+            assert value.tobytes() == state[key].tobytes(), key
+        # the control: a narrowed model nothing was loaded into reads the
+        # eager bytes of its kept weights, drawing one stream per weight read
+        fresh = build_model("lenet", 1, 28, 10, seed=0)
+        fresh.narrow(keep)
+        assert fresh.blocks[1].conv.weight.data.tobytes() == want.tobytes()
+        assert len(made) == 1
+
+
+class TestSlicedParameter:
+    def test_an_undrawn_slice_is_cut_from_the_eager_bytes_on_first_read(self, monkeypatch):
+        weight = build_model("tiny-cnn", 1, 28, 10, seed=0).blocks[1].conv.weight
+        rows, cols = np.arange(16) % 3 != 0, np.arange(8) % 2 == 0
+        want = eager_weights("tiny-cnn", 0)[1][np.ix_(rows, cols)]
+        made = count_draws(monkeypatch)
+        part = weight.sliced(rows, cols, velocity=True)
+        assert part.shape == (rows.sum(), cols.sum(), 3, 3) and part.velocity is None
+        assert made == []
+        assert part.data.tobytes() == want.tobytes() and part.data.flags.c_contiguous
+        assert len(made) == 1
+        part._load(np.zeros(part.shape), None)
+        assert weight.sliced(rows).shape == (rows.sum(), 8, 3, 3)
+
+    def test_a_drawn_slice_copies_data_and_velocity_only_if_asked(self):
+        weight = build_model("tiny-cnn", 1, 28, 10, seed=0).blocks[1].conv.weight
+        weight.velocity = np.full(weight.shape, 2.0)
+        rows = np.arange(16) < 5
+        for velocity in (False, True):
+            part = weight.sliced(rows, velocity=velocity)
+            assert np.array_equal(part.data, weight.data[rows])
+            assert not np.shares_memory(part.data, weight.data)
+            if velocity:
+                assert np.array_equal(part.velocity, weight.velocity[rows])
+                assert not np.shares_memory(part.velocity, weight.velocity)
+            else:
+                assert part.velocity is None

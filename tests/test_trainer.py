@@ -1,13 +1,15 @@
 """Pipeline orchestration: anchoring, joint strategy steps, stage plumbing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from maskprune.checkpoint import load_checkpoint, save_checkpoint
 from maskprune.config import ExperimentConfig
-from maskprune.data import batches, synthetic_dataset
-from maskprune.errors import ConfigError, NumericalError
+from maskprune.data import Dataset, batches, synthetic_dataset
+from maskprune.errors import ConfigError, NumericalError, ShapeError
 from maskprune.influence import (
     BINARY_CUTOFF,
     ChannelScorer,
@@ -341,9 +343,9 @@ class TestPipelineSmall:
         assert report.params_after == report.params_before
 
     def test_lenet_run_compacts_through_its_flatten_block(self, tmp_path):
-        """lenet at lr 0.01 converges to its plan, and its compaction, the
-        first to narrow a linear layer's input through a flatten block,
-        reproduces the gated model's logits and cost."""
+        """lenet at lr 0.01 converges to its plan, and the run narrows fc1's
+        input through the flatten block; the report's compacted copy gives
+        the trained model's logits and cost."""
         from tests.test_models import dense_eval
 
         cfg = ExperimentConfig(model="lenet", dataset="synthetic", synthetic_train=1000,
@@ -356,8 +358,12 @@ class TestPipelineSmall:
             assert state.kept == int(plan.targets[name].sum()), name
         assert report.rate_actual == 1.0 - plan.kept_channels / plan.total_channels
         assert report.rate_actual > 0.0
+        assert {n: (s.kept, s.target.size) for n, s in trainer.strategies.items()} == {
+            "conv1": (6, 6), "conv2": (8, 16), "fc1": (66, 120), "fc2": (55, 84)}
+        # the trained model itself is narrowed, through the flatten block too
         kept_conv2 = trainer.strategies["conv2"].kept
-        assert trainer.compacted.blocks[3].linear.in_channels == kept_conv2 * 5 * 5
+        assert trainer.model.blocks[3].linear.in_channels == kept_conv2 * 5 * 5
+        assert [ref.layer.out_channels for ref in trainer.model.prunable()] == [6, 8, 66, 55]
         for x, _ in batches(trainer.test_ds, 128, 0, cfg.seed, train=False):
             assert_allclose(dense_eval(trainer.model, x),
                             trainer.compacted.forward(x, train=False), rtol=0, atol=1e-5)
@@ -488,3 +494,153 @@ class TestNonFiniteGuard:
             # running statistics are not weights
             if not k.endswith(("gate", "running_mean", "running_var")):
                 assert_allclose(after[k], v, rtol=0, atol=0, equal_nan=True)
+
+
+#: per architecture, a prunable layer and the next one, which reads it (through
+#: a max-pool, a flatten block, or a residual stream it does not narrow)
+NARROWED_NEXT = {"tiny-cnn": ("conv1", "conv2"), "lenet": ("conv2", "fc1"),
+                 "vgg16": ("conv2", "conv3"), "resnet56": ("res1.conv1", "res2.conv1")}
+
+
+def twin_trainers(arch, tmp_path, seed=0):
+    """Two trainers over identical models of ``arch`` after one baseline step
+    (so every parameter has a velocity), with one probe batch."""
+    from tests.test_models import ARCH_INPUTS
+
+    in_ch, hw = ARCH_INPUTS[arch]
+    rng = np.random.default_rng(seed)
+    ds = Dataset("probe", rng.random((8, in_ch, hw, hw)), rng.integers(0, 10, 8),
+                 np.full(in_ch, 0.5), np.full(in_ch, 0.25))
+    cfg = ExperimentConfig(model=arch, batch_size=4, seed=seed, out_dir=str(tmp_path))
+    x, y = ds.images[:4], ds.labels[:4]
+    twins = []
+    for _ in range(2):
+        trainer = Trainer(cfg, build_model(arch, in_ch, hw, 10, seed), ds, ds)
+        trainer.train_step(x, y, None, cfg.lr)
+        twins.append(trainer)
+    return twins, x, y
+
+
+class TestNarrowedTraining:
+    """A frozen layer's closed channels carry only zeros, so the narrowed
+    model takes the gated dense model's steps."""
+
+    @pytest.mark.parametrize("arch", list(NARROWED_NEXT))
+    def test_a_prune_step_matches_the_gated_dense_model(self, arch, tmp_path):
+        frozen, active = NARROWED_NEXT[arch]
+        (dense, narrow), x, y = twin_trainers(arch, tmp_path)
+        rng = np.random.default_rng(1)
+        width = dense.prunable[frozen].layer.out_channels
+        keep = np.zeros(width, dtype=np.int64)
+        keep[rng.choice(width, size=int(rng.integers(1, width)), replace=False)] = 1
+        full = dense.prunable[active].layer.weight.shape
+        infl = np.abs(rng.normal(size=full))
+        for t in (dense, narrow):
+            for name, ref in t.prunable.items():
+                w = ref.layer.out_channels
+                t.strategies[name] = StrategyState(name, np.full(w, 0.5),
+                                                   np.ones(w, dtype=np.int64),
+                                                   np.ones(w, dtype=np.int64))
+            t.strategies[frozen].hard, t.strategies[frozen].status = keep, "frozen"
+            t.strategies[active].target[: full[0] // 3] = 0
+            t.prunable[frozen].layer.gate[:] = keep
+            t.maps[active] = InfluenceMap(active, infl.copy(), 8)
+        narrow._narrow({frozen: keep.astype(bool)})
+        assert narrow.prunable[frozen].layer.out_channels == keep.sum()
+        steps = []
+        for t in (dense, narrow):
+            t._start_prune(active, 1)
+            steps.append(t.train_step(x, y, active, t.cfg.prune_lr))
+        assert abs(steps[0].loss_total - steps[1].loss_total) <= 1e-12
+        assert abs(steps[0].loss_classification - steps[1].loss_classification) <= 1e-12
+        maps = [t._captured_map(active) for t in (dense, narrow)]
+        cols = narrow._in_cols.get(active)
+        if arch == "resnet56":
+            assert cols is None        # the next block reads the whole stream
+        else:
+            assert cols is not None and not cols.all()
+            assert narrow.prunable[active].layer.weight.shape[1] == cols.sum()
+            for m in maps:
+                assert np.all(m.values[:, ~cols] == 0.0)
+        assert maps[1].values.shape == full
+        assert_allclose(maps[1].values, maps[0].values, rtol=0, atol=1e-12)
+        # the dense model's open channels, sliced after its step
+        dense._narrow({frozen: keep.astype(bool)})
+        got, want = narrow.model.state_arrays(), dense.model.state_arrays()
+        assert got.keys() == want.keys()
+        assert any(k.endswith(".velocity") for k in got)
+        assert any(k.endswith(".running_var") for k in got) == (arch != "lenet")
+        for key in want:
+            assert got[key].shape == want[key].shape, key
+            assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+
+
+def narrowed_config(tmp_path):
+    return quick_config(tmp_path, rate=0.25, seed=11, max_prune_epochs=6, finetune_epochs=1)
+
+
+@pytest.fixture(scope="module")
+def narrowed_run(tmp_path_factory):
+    """A quick tiny-cnn run at rate 0.25, every stage checkpointed."""
+    tmp_path = tmp_path_factory.mktemp("narrowed")
+    cfg = narrowed_config(tmp_path)
+    report, trainer = run_pipeline(cfg)
+    return cfg, report, trainer, tmp_path
+
+
+def prune_checkpoints(cfg) -> list:
+    return sorted(Path(cfg.out_dir).glob("checkpoint-prune-*.ckpt"))
+
+
+class TestNarrowedCheckpoints:
+    def test_every_frozen_layer_is_narrowed(self, narrowed_run):
+        cfg, report, trainer, _ = narrowed_run
+        widths = [ref.layer.out_channels for ref in trainer.model.prunable()]
+        assert widths == [s.kept for s in trainer.strategies.values()]
+        assert sum(widths) < 80 and report.rate_actual > 0.0
+        assert count_flops(trainer.model) == count_flops(trainer.compacted)
+
+    def test_resuming_from_each_prune_stage_is_bit_identical(self, narrowed_run, tmp_path):
+        cfg, report, trainer, _ = narrowed_run
+        _, final = load_checkpoint(Path(cfg.out_dir) / "checkpoint-final.ckpt")
+        stages = prune_checkpoints(cfg)
+        assert [p.name for p in stages] == [f"checkpoint-prune-conv{i}.ckpt" for i in (1, 2, 3, 4)]
+        for path in stages:
+            resumed_cfg = narrowed_config(tmp_path / path.stem)
+            resumed, _ = run_pipeline(resumed_cfg, resume_from=path)
+            assert resumed.comparable() == report.comparable(), path.name
+            _, arrays = load_checkpoint(Path(resumed_cfg.out_dir) / "checkpoint-final.ckpt")
+            assert_same_arrays(arrays, final)
+
+    def test_a_narrowed_checkpoint_loads_without_drawing(self, narrowed_run, monkeypatch):
+        from tests.test_models import count_draws
+
+        cfg = narrowed_run[0]
+        path = Path(cfg.out_dir) / "checkpoint-prune-conv2.ckpt"
+        _, arrays = load_checkpoint(path)
+        fresh = make_trainer(cfg)
+        made = count_draws(monkeypatch)
+        fresh.load(path)
+        assert made == []
+        state = fresh.model.state_arrays()
+        assert_same_arrays(state, {k: arrays[k] for k in state})
+        assert fresh.prunable["conv2"].layer.out_channels == fresh.strategies["conv2"].kept
+
+    def test_a_full_width_state_with_a_frozen_layer_is_refused(self, narrowed_run,
+                                                               tmp_path):
+        """Checkpoints once held every layer at full width behind its gates;
+        one with a frozen layer no longer loads, and the model is untouched."""
+        cfg = narrowed_run[0]
+        meta, arrays = load_checkpoint(Path(cfg.out_dir) / "checkpoint-prune-conv1.ckpt")
+        _, measured = load_checkpoint(Path(cfg.out_dir) / "checkpoint-measure.ckpt")
+        model_keys = make_trainer(cfg).model.state_arrays().keys()
+        old = dict(arrays, **{k: measured[k] for k in measured
+                              if k.split(".velocity")[0] in model_keys})
+        path = save_checkpoint(tmp_path / "old.ckpt", meta, old)
+        fresh = make_trainer(cfg)
+        blocks = list(fresh.model.blocks)
+        with pytest.raises(ShapeError, match="state array conv1.conv.weight has shape"):
+            fresh.load(path)
+        assert all(a is b for a, b in zip(fresh.model.blocks, blocks))
+        assert fresh.prunable["conv1"].layer is blocks[0].conv
+        assert fresh.completed == [] and fresh._in_cols == {}
