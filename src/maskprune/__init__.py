@@ -34,7 +34,6 @@ from .pruning import (
     CompressionPlan,
     SharpnessSchedule,
     build_plan,
-    compact,
     has_converged,
     lambda_value,
     strategy_loss,
@@ -67,7 +66,6 @@ __all__ = [
     "build_plan",
     "capture_influence",
     "channel_influence",
-    "compact",
     "count_flops",
     "ema_merge",
     "emit_report",

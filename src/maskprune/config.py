@@ -3,9 +3,8 @@
 One ``key = value`` assignment per line, ``#`` starts a comment.  Every key
 must be a known field of :class:`ExperimentConfig`; unknown keys are rejected
 by name so typos cannot silently fall back to defaults.  Values are parsed
-according to the field's declared type.  Keys of settings now fixed in code
-(:data:`RETIRED_KEYS`) are accepted only at the value in force, so older
-configs and checkpoints still load but never silently change a run.
+according to the field's declared type.  Settings with one value in use are
+module constants where they are used, not fields.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .influence import BINARY_CUTOFF
-from .layers import DELTA_FREEZE
-from .pruning import STRATEGY_WEIGHT_SCALE
 
 
 @dataclass
@@ -43,17 +39,12 @@ class ExperimentConfig:
 
     # compression
     rate: float = 0.4                   # fraction of channels to remove
-    ema_decay: float = 0.9
     delta_bin: float = 0.01
     window: int = 3
-    score_margin: float = 14.0          # initial score-spread normalization
 
     # sharpness anneal (one schedule for conv and fc layers)
     anneal_start: float = 0.01
     anneal_end_factor: float = 100.0
-    stall_boost: float = 2.0
-    stall_patience: int = 3
-    strategy_eval_every: int = 20
 
     # optimization
     lr: float = 0.1
@@ -67,8 +58,6 @@ class ExperimentConfig:
     finetune_epochs: int = 2
     prune_lr: float = 0.02
     finetune_lr: float = 0.02
-    scorer_lr: float = 0.05
-    scorer_momentum: float = 0.9
 
     # run control
     seed: int = 0
@@ -84,21 +73,13 @@ class ExperimentConfig:
             raise ConfigError("anneal_start must be positive")
         if self.anneal_end_factor < 1:
             raise ConfigError("anneal_end_factor must be >= 1")
-        if not (0.0 <= self.ema_decay < 1.0):
-            raise ConfigError(f"ema_decay must be in [0, 1), got {self.ema_decay}")
         if not (0.0 < self.delta_bin < 0.5):
             raise ConfigError(f"delta_bin must be in (0, 0.5), got {self.delta_bin}")
-        if not self.score_margin > 0:
-            raise ConfigError(f"score_margin must be positive, got {self.score_margin}")
-        if not self.stall_boost >= 1:  # a boost below 1 would lower the sharpness
-            raise ConfigError(f"stall_boost must be >= 1, got {self.stall_boost}")
-        if self.window < 1 or self.stall_patience < 1:
-            raise ConfigError("window and stall_patience must be >= 1")
         for name in ("baseline_epochs", "prune_epochs", "finetune_epochs", "train_limit",
                      "test_limit", "synthetic_train", "synthetic_test", "crop_pad"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("eval_batch", "log_every", "strategy_eval_every", "max_prune_epochs"):
+        for name in ("eval_batch", "log_every", "window", "max_prune_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         return self
@@ -111,45 +92,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
-        retired = {k: d.pop(k) for k in list(d) if k in RETIRED_KEYS}
         unknown = sorted(set(d) - set(_FIELDS))
         if unknown:
             raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
         if "lr_milestones" in d:
             d["lr_milestones"] = tuple(d["lr_milestones"])
-        return _check_retired(cls(**d).validate(), retired)
+        return cls(**d).validate()
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
-
-
-def _in_force(cfg: ExperimentConfig) -> dict:
-    """The value each retired key must hold under ``cfg``: the fc anneal pair
-    follows the conv pair, the rest are module constants."""
-    return {"influence_mode": "absolute", "scorer_input": "absolute",
-            "binary_cutoff": BINARY_CUTOFF, "delta_freeze": DELTA_FREEZE,
-            "strategy_weight_scale": STRATEGY_WEIGHT_SCALE,
-            "anneal_start_fc": cfg.anneal_start, "anneal_end_factor_fc": cfg.anneal_end_factor}
-
-
-#: keys of settings that are no longer configurable
-RETIRED_KEYS = frozenset(_in_force(ExperimentConfig()))
-
-
-def _check_retired(cfg: ExperimentConfig, retired: dict) -> ExperimentConfig:
-    """Accept each retired key (raw text or a loaded value) only at the value
-    in force; refuse any other, naming the key and both values."""
-    in_force = _in_force(cfg)
-    for key, value in retired.items():
-        want = in_force[key]
-        try:
-            same = type(want)(value) == want
-        except (TypeError, ValueError):
-            same = False
-        if not same:
-            raise ConfigError(f"'{key}' is no longer configurable: fixed at {want!r}, "
-                              f"got {value!r}")
-    return cfg
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -180,7 +131,6 @@ def _parse_value(key: str, raw: str, line_no: int):
 def parse_config(path) -> ExperimentConfig:
     """Read a flat key-value config file; unknown keys are an error."""
     cfg = ExperimentConfig()
-    retired = {}
     text = Path(path).read_text()
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -189,13 +139,10 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in RETIRED_KEYS:
-            retired[key] = raw
-            continue
         if key not in _FIELDS:
             raise ConfigError(f"line {line_no}: unknown configuration key '{key}'")
         setattr(cfg, key, _parse_value(key, raw, line_no))
-    return _check_retired(cfg.validate(), retired)
+    return cfg.validate()
 
 
 def config_text(cfg: ExperimentConfig) -> str:

@@ -25,6 +25,9 @@ from .layers import Parameter
 #: a soft keep value below this is treated as a hard zero
 BINARY_CUTOFF = 1e-6
 
+#: weight of the running map when a fresh influence measurement is folded in
+EMA_DECAY = 0.9
+
 _SIGMOID_CLIP = 50.0
 
 
@@ -89,7 +92,8 @@ def channel_influence(infl_map: InfluenceMap) -> np.ndarray:
     return vals.sum(axis=tuple(range(1, vals.ndim)))
 
 
-def ema_merge(running: InfluenceMap | None, fresh: InfluenceMap, rho: float = 0.9) -> InfluenceMap:
+def ema_merge(running: InfluenceMap | None, fresh: InfluenceMap,
+              rho: float = EMA_DECAY) -> InfluenceMap:
     """Exponential moving average of influence maps.
 
     ``running`` may be None for the first window, in which case the fresh map

@@ -22,6 +22,9 @@ from .influence import binarize
 #: multiplier in the strategy-loss weighting rule
 STRATEGY_WEIGHT_SCALE = 5.0
 
+#: factor a stalled anneal's remaining sharpness is multiplied by
+STALL_BOOST = 2.0
+
 #: fraction of would-be survivors force-kept when a whole layer falls under
 #: the threshold
 COLLAPSE_GUARD_FRACTION = 0.2
@@ -136,7 +139,7 @@ class SharpnessSchedule:
     total_steps: int
     step: int = 0
     boost: float = 1.0
-    boost_factor: float = 2.0
+    boost_factor: float = STALL_BOOST
 
     def __post_init__(self):
         if self.start <= 0 or self.end <= 0:
@@ -193,8 +196,3 @@ def frozen_keep(strategies: dict) -> dict[str, np.ndarray]:
         keep[name] = state.hard.astype(bool)
     return keep
 
-
-def compact(model, strategies: dict) -> "Model":
-    """Physically remove the channels whose frozen hard pattern is 0, from a
-    model still at full width (see :func:`frozen_keep`)."""
-    return model.compact(frozen_keep(strategies))

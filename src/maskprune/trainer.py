@@ -18,9 +18,12 @@ maps stay at full width; the active layer's influence is scattered back to it,
 with 0.0 in the input columns narrowing removed (their gradient was exactly 0,
 since they only ever multiplied zeros).  Unlike a full-width run, weight decay
 no longer shrinks those columns; they never reach the compacted model either
-way.  Checkpoints hold the narrowed arrays, and a load narrows the fresh model
-from the stored hard patterns first.  At the end every layer is narrowed, so
-the compacted model is a copy.
+way.  At the end every layer is narrowed, so the compacted model is a copy.
+
+A checkpoint records the trainer's :data:`STATE_FORMAT`, and a load refuses
+any other format before it reads anything else.  Format 2 holds the narrowed
+arrays; a load narrows the fresh model from the stored hard patterns first.
+Format 1, which carried no number, held every layer at full width.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from . import pruning
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, write_effective_config
 from .data import Dataset, batches, cifar10_dataset, mnist_dataset, synthetic_dataset
-from .errors import ConfigError, ConvergenceError, NumericalError, ShapeError
+from .errors import CheckpointError, ConfigError, ConvergenceError, NumericalError, ShapeError
 from .influence import (
     BINARY_CUTOFF,
     ChannelScorer,
@@ -72,6 +75,24 @@ RUN_FIELDS = ("model", "dataset", "train_images", "train_labels", "test_images",
               "test_labels", "train_files", "test_files", "synthetic_train",
               "synthetic_test", "train_limit", "test_limit", "classes", "batch_size",
               "crop_pad", "flip", "rate", "seed")
+
+#: what a trainer checkpoint holds; 1 (no number stored) kept every layer at
+#: full width, 2 holds frozen and skipped layers narrowed
+STATE_FORMAT = 2
+
+#: scorer SGD step size and momentum; the step size halves each prune epoch
+#: past the planned anneal
+SCORER_LR = 0.05
+SCORER_MOMENTUM = 0.9
+
+#: median absolute deviation of a fresh scorer's scores from their median
+SCORE_MARGIN = 14.0
+
+#: training steps between strategy snapshots (fewer when an epoch is short)
+STRATEGY_EVAL_EVERY = 20
+
+#: snapshots with an unchanged, still-soft hard pattern before a stall boost
+STALL_PATIENCE = 3
 
 
 @dataclass
@@ -133,7 +154,8 @@ def score_strategy(scorer: ChannelScorer, state: StrategyState, sharpness: float
 
 def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: SharpnessSchedule,
                   map_in: np.ndarray, extra_grad_soft: np.ndarray | None = None,
-                  lr: float = 0.05, momentum: float = 0.9) -> tuple[float, float]:
+                  lr: float = SCORER_LR,
+                  momentum: float = SCORER_MOMENTUM) -> tuple[float, float]:
     """One refinement step of a layer's keep strategy.
 
     ``state.soft`` and ``state.hard`` must hold the keep vectors at the
@@ -159,7 +181,8 @@ def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: Sharpne
 class StrategyMonitor:
     """Snapshot bookkeeping: convergence detection and the stall booster."""
 
-    def __init__(self, window: int = 3, delta_bin: float = 0.01, patience: int = 3):
+    def __init__(self, window: int = 3, delta_bin: float = 0.01,
+                 patience: int = STALL_PATIENCE):
         self.window = window
         self.delta_bin = delta_bin
         self.patience = patience
@@ -283,8 +306,7 @@ class Trainer:
             self._influence.add(x.shape[0])
             weight, s_loss = strategy_step(
                 self.scorers[active], state, schedule, self._map_in,
-                extra_grad_soft=layer.gate_grad, lr=self._scorer_lr,
-                momentum=cfg.scorer_momentum)
+                extra_grad_soft=layer.gate_grad, lr=self._scorer_lr)
         else:
             weight, s_loss = 0.0, 0.0
         sgd_step(self.model, lr, cfg.momentum, cfg.weight_decay)
@@ -333,7 +355,7 @@ class Trainer:
         influences = {}
         for name, acc in sums.items():
             fresh = capture_influence(acc, name)
-            self.maps[name] = ema_merge(None, fresh, self.cfg.ema_decay)
+            self.maps[name] = ema_merge(None, fresh)
             influences[name] = channel_influence(fresh)
         return influences
 
@@ -385,12 +407,11 @@ class Trainer:
         self._influence = InfluenceSum(self.prunable[name].layer)
         total = max(1, epochs * self.steps_per_epoch())
         self._schedule = SharpnessSchedule(cfg.anneal_start,
-                                           cfg.anneal_start * cfg.anneal_end_factor, total,
-                                           boost_factor=cfg.stall_boost)
+                                           cfg.anneal_start * cfg.anneal_end_factor, total)
         self._map_in = np.abs(self.maps[name].values)
         self.scorers[name] = ChannelScorer(self._map_in.shape[1:])
-        self.scorers[name].rescale_for_spread(self._map_in, cfg.score_margin)
-        self._scorer_lr = cfg.scorer_lr
+        self.scorers[name].rescale_for_spread(self._map_in, SCORE_MARGIN)
+        self._scorer_lr = SCORER_LR
 
     def _captured_map(self, name: str) -> InfluenceMap:
         """Drain the active layer's influence sum into a de-gated map at the
@@ -436,12 +457,12 @@ class Trainer:
             log.info("prune %s: target already satisfied, skipping", name)
             return
 
-        monitor = StrategyMonitor(cfg.window, cfg.delta_bin, cfg.stall_patience)
+        monitor = StrategyMonitor(cfg.window, cfg.delta_bin)
         converged = False
         step_count = 0
         # snapshot a few times per epoch even when epochs are short, else the
         # convergence window and the stall booster starve on small datasets
-        eval_every = max(1, min(cfg.strategy_eval_every, self.steps_per_epoch() // 3))
+        eval_every = max(1, min(STRATEGY_EVAL_EVERY, self.steps_per_epoch() // 3))
         for epoch_i in range(cfg.max_prune_epochs):
             for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
                 m = self.train_step(x, y, name, cfg.prune_lr, step=i)
@@ -461,7 +482,7 @@ class Trainer:
                 # the schedule keep the target fixed so the strategy can
                 # settle instead of chasing measurement drift.
                 fresh = self._captured_map(name)
-                self.maps[name] = ema_merge(self.maps[name], fresh, cfg.ema_decay)
+                self.maps[name] = ema_merge(self.maps[name], fresh)
                 self._map_in = np.abs(self.maps[name].values)
                 self._refresh_target(name)
             if epoch_i >= cfg.prune_epochs:
@@ -565,6 +586,7 @@ class Trainer:
             arrays[f"scorer.{name}.kernel"] = sc.kernel.data
             arrays[f"scorer.{name}.bias"] = sc.bias.data
         meta = {
+            "state_format": STATE_FORMAT,
             "config": self.cfg.to_dict(),
             "completed": self.completed,
             "global_epoch": self.global_epoch,
@@ -582,18 +604,21 @@ class Trainer:
 
     def load(self, path) -> None:
         meta, arrays = load_checkpoint(path)
+        found = meta.get("state_format", 1)
+        if found != STATE_FORMAT:
+            raise CheckpointError(f"checkpoint {path} holds trainer state format {found!r}; "
+                                  f"this version reads format {STATE_FORMAT} only")
         stored = ExperimentConfig.from_dict(meta["config"])
         diffs = [f"{f}: checkpoint {getattr(stored, f)!r}, config {getattr(self.cfg, f)!r}"
                  for f in RUN_FIELDS if getattr(stored, f) != getattr(self.cfg, f)]
         if diffs:
             raise ConfigError(f"checkpoint {path} belongs to a different run ("
                               + "; ".join(diffs) + ")")
-        samples = meta.get("map_samples", {})
         maps, strategies, scorers = {}, {}, {}
         for name in self.prunable:
             key = f"map.{name}.values"
             if key in arrays:
-                maps[name] = InfluenceMap(name, arrays[key], int(samples.get(name, 0)))
+                maps[name] = InfluenceMap(name, arrays[key], int(meta["map_samples"][name]))
             skey = f"strategy.{name}.soft"
             if skey in arrays:
                 s_meta = meta["strategy_meta"][name]

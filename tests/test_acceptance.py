@@ -34,7 +34,7 @@ from maskprune.models import LinearBlock, Model, PoolBlock, build_model
 from maskprune.pruning import (
     SharpnessSchedule,
     build_plan,
-    compact,
+    frozen_keep,
     lambda_value,
 )
 from maskprune.trainer import (
@@ -370,7 +370,7 @@ class TestC06CompactionEquivalence:
                 strategies = frozen_strategies(model, keep)
                 x = rng.standard_normal((256, *model.input_shape))
                 want = dense_eval(model, x)
-                small = compact(model, strategies)
+                small = model.compact(frozen_keep(strategies))
                 got = small.forward(x, train=False)
                 worst = max(worst, float(np.max(np.abs(got - want))))
 
@@ -443,7 +443,7 @@ class TestC08CostAccounting:
         checks += [gated["layers"][0]["flops"] == 442_368,
                    gated["layers"][-1]["macs"] == 80]
         strategies = frozen_strategies(conv_model, {"conv": keep})
-        compacted_cost = count_flops(compact(conv_model, strategies))
+        compacted_cost = count_flops(conv_model.compact(frozen_keep(strategies)))
         checks += [compacted_cost["total_flops"] == gated["total_flops"],
                    compacted_cost["total_params"] == gated["total_params"]]
 

@@ -167,11 +167,14 @@ class TestStageChain:
         assert a.comparable() == b.comparable()
 
 
-def reblessed(src, dst, **config):
+def reblessed(src, dst, numbered=True, **config):
     """A copy of checkpoint ``src`` whose stored config is updated with
-    ``config``, with a valid digest."""
+    ``config``, with a valid digest; without its state format number, as
+    format 1 wrote it, if not ``numbered``."""
     meta, arrays = load_checkpoint(src)
     meta["config"].update(config)
+    if not numbered:
+        del meta["state_format"]
     return save_checkpoint(dst, meta, arrays)
 
 
@@ -182,14 +185,24 @@ class TestCheckpointConfig:
         assert main(["eval", "--config", str(run["cfg"]), "--checkpoint", str(ckpt)]) == 1
         assert "error: unknown configuration key(s): learning_rate" in capsys.readouterr().err
 
-    def test_retired_key_at_another_value_is_refused(self, run, tmp_path, capsys):
-        ckpt = reblessed(run["out"] / "checkpoint-measure.ckpt", tmp_path / "signed.ckpt",
-                         influence_mode="signed")
+    def test_removed_key_is_usage_error(self, run, tmp_path, capsys):
+        ckpt = reblessed(run["out"] / "checkpoint-measure.ckpt", tmp_path / "old.ckpt",
+                         influence_mode="absolute")
         out = tmp_path / "resumed"
         assert main(["prune", "--config", str(run["cfg"]), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 1
-        assert ("error: 'influence_mode' is no longer configurable: fixed at 'absolute', "
-                "got 'signed'") in capsys.readouterr().err
+        assert ("error: unknown configuration key(s): influence_mode"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_format_1_state_is_a_runtime_failure(self, run, tmp_path, capsys):
+        ckpt = reblessed(run["out"] / "checkpoint-measure.ckpt", tmp_path / "old.ckpt",
+                         numbered=False)
+        out = tmp_path / "resumed"
+        assert main(["prune", "--config", str(run["cfg"]), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        assert (f"runtime failure: checkpoint {ckpt} holds trainer state format 1; "
+                "this version reads format 2 only") in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -78,7 +78,7 @@ class TestFlopCounting:
     def test_gated_model_matches_compacted_model(self, arch, channels, size, seed):
         """Every entry, flatten widths and residual projections included: a
         closed channel costs nothing whether its gate is 0 or frozen above 0."""
-        from maskprune.pruning import compact
+        from maskprune.pruning import frozen_keep
         from tests.test_models import frozen_strategies, random_keep
 
         m = build_model(arch, channels, size, 10, seed=seed)
@@ -91,7 +91,7 @@ class TestFlopCounting:
             gate[frozen_open] = DELTA_FREEZE * rng.uniform(0.05, 0.95, frozen_open.sum())
         gated = count_flops(m)
         assert gated["total_macs"] < dense["total_macs"]
-        assert gated == count_flops(compact(m, strategies))
+        assert gated == count_flops(m.compact(frozen_keep(strategies)))
 
     def test_resnet_block_counts_both_convs_and_projection(self):
         m = build_model("resnet56", 3, 32, 10, seed=0)

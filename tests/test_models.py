@@ -31,7 +31,7 @@ from maskprune.models import (
     _he_linear,
     build_model,
 )
-from maskprune.pruning import compact
+from maskprune.pruning import frozen_keep
 from maskprune.rng import TAG_INIT, keyed_rng
 from tests.test_array_contract import _buffers
 from tests.test_layers import numgrad, reference_maxpool, reference_relu, rel_err
@@ -356,7 +356,7 @@ class TestCompaction:
         x = rng.normal(size=(4, 1, 28, 28))
         before = self._exercise(m, x)
         strategies = frozen_strategies(m, {})
-        plain = compact(m, strategies)
+        plain = m.compact(frozen_keep(strategies))
         assert_allclose(plain.forward(x, train=False), before, rtol=0, atol=0)
 
     def test_partial_keep_matches_gated_model(self):
@@ -372,14 +372,14 @@ class TestCompaction:
         }
         strategies = frozen_strategies(m, keep)
         gated = dense_eval(m, x)
-        plain = compact(m, strategies)
+        plain = m.compact(frozen_keep(strategies))
         assert_allclose(plain.forward(x, train=False), gated, rtol=0, atol=1e-10)
 
     def test_parameter_count_shrinks(self):
         m = build_model("tiny-cnn", 1, 28, 10, seed=6)
         m.forward(np.zeros((2, 1, 28, 28)), train=True)
         keep = {"conv3": np.array([1] * 12 + [0] * 12)}
-        plain = compact(m, frozen_strategies(m, keep))
+        plain = m.compact(frozen_keep(frozen_strategies(m, keep)))
         conv3 = [b for b in plain.blocks if getattr(b, "name", "") == "conv3"][0]
         assert conv3.conv.weight.shape[0] == 12
 
@@ -391,7 +391,7 @@ class TestCompaction:
         keep = {"fc1": np.array([1, 0] * 60), "fc2": np.array([0, 1] * 42)}
         strategies = frozen_strategies(m, keep)
         gated = dense_eval(m, x)
-        plain = compact(m, strategies)
+        plain = m.compact(frozen_keep(strategies))
         assert_allclose(plain.forward(x, train=False), gated, rtol=0, atol=1e-10)
 
     def test_all_channels_removed_rejected(self):
@@ -399,7 +399,7 @@ class TestCompaction:
         m.forward(np.zeros((2, 1, 28, 28)), train=True)
         keep = {"conv2": np.zeros(16, dtype=np.int64)}
         with pytest.raises(ShapeError):
-            compact(m, frozen_strategies(m, keep))
+            m.compact(frozen_keep(frozen_strategies(m, keep)))
 
 
 def mini_resnet(seed=0):
@@ -587,7 +587,7 @@ class TestResidualBlocks:
                 "block2.conv1": np.array([0, 1] * 8)}
         strategies = frozen_strategies(m, keep)
         gated = dense_eval(m, x)
-        plain = compact(m, strategies)
+        plain = m.compact(frozen_keep(strategies))
         assert_allclose(plain.forward(x, train=False), gated, rtol=0, atol=1e-10)
 
 
@@ -682,7 +682,7 @@ class TestCompactedEval:
         model = EVAL_MODELS[arch](5)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, *model.input_shape))
-        small = compact(model, frozen_strategies(model, random_keep(model, rng)))
+        small = model.compact(frozen_keep(frozen_strategies(model, random_keep(model, rng))))
         assert_allclose(small.forward(x, train=False), dense_eval(model, x), rtol=0, atol=1e-10)
 
     def test_compacted_weights_are_single_contiguous_copies(self):

@@ -15,7 +15,7 @@ from maskprune.pruning import (
     CompressionPlan,
     SharpnessSchedule,
     build_plan,
-    compact,
+    frozen_keep,
     has_converged,
     lambda_value,
     strategy_loss,
@@ -234,4 +234,4 @@ class TestCompactGuard:
                 ref.name, np.full(width, 0.5), np.ones(width, dtype=np.int64),
                 np.ones(width, dtype=np.int64), status="active")
         with pytest.raises(ShapeError):
-            compact(model, strategies)
+            model.compact(frozen_keep(strategies))

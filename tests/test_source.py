@@ -1,12 +1,14 @@
-"""Static checks on the package source: every imported name is read, and no
-code switches on block type."""
+"""Static checks on the package source: every imported name is read, no code
+switches on block type, and every config field is read."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import maskprune
+from maskprune.config import ExperimentConfig
 
 PACKAGE_DIR = Path(maskprune.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -93,3 +95,41 @@ def test_block_type_checks_are_found():
     src = ("isinstance(b, ConvBlock)\nisinstance(b, (int, models.PoolBlock))\n"
            "isinstance(b, BatchNorm2d)\n")
     assert block_type_checks(ast.parse(src)) == [1, 2]
+
+
+def config_reads(tree: ast.Module) -> set[str]:
+    """Config fields a module reads: ``cfg.<field>`` and ``<obj>.cfg.<field>``,
+    and the entries of a literal tuple or list of names, inline or bound to a
+    module-level name like ``RUN_FIELDS``, that a loop hands to ``getattr``."""
+    lists = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+    by_name = {n.args[1].id for n in ast.walk(tree)
+               if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+               and len(n.args) >= 2 and isinstance(n.args[1], ast.Name)}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (getattr(node.value, "id", None) == "cfg"
+                                                or getattr(node.value, "attr", None) == "cfg"):
+            reads.add(node.attr)
+        elif (isinstance(node, (ast.For, ast.comprehension))
+              and getattr(node.target, "id", None) in by_name):
+            names = lists.get(getattr(node.iter, "id", None), node.iter)
+            if isinstance(names, (ast.Tuple, ast.List)):
+                reads.update(e.value for e in names.elts if isinstance(e, ast.Constant))
+    return reads
+
+
+def test_every_config_field_is_read():
+    # a field that no module reads is a knob that changes nothing; config.py
+    # itself, which validates and renders every field, does not count
+    reads = set().union(*(config_reads(ast.parse(p.read_text())) for p in MODULES
+                          if p.name != "config.py"))
+    unread = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in reads]
+    assert unread == []
+
+
+def test_config_reads_are_found():
+    src = ("cfg.rate\nself.cfg.seed\nFIELDS = ('model', 'flip')\n"
+           "[getattr(c, f) for f in FIELDS]\nfor g in ('lr',):\n    getattr(c, g)\n"
+           "for h in ('window',):\n    pass\nother.batch_size\nconfig.classes\n")
+    assert config_reads(ast.parse(src)) == {"rate", "seed", "model", "flip", "lr"}

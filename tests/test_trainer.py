@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from maskprune.checkpoint import load_checkpoint, save_checkpoint
 from maskprune.config import ExperimentConfig
 from maskprune.data import Dataset, batches, synthetic_dataset
-from maskprune.errors import ConfigError, NumericalError, ShapeError
+from maskprune.errors import CheckpointError, ConfigError, NumericalError, ShapeError
 from maskprune.influence import (
     BINARY_CUTOFF,
     ChannelScorer,
@@ -22,6 +22,7 @@ from maskprune.metrics import count_flops
 from maskprune.models import build_model
 from maskprune.pruning import SharpnessSchedule, build_plan, lambda_value
 from maskprune.trainer import (
+    STATE_FORMAT,
     Phase,
     StrategyMonitor,
     Trainer,
@@ -410,9 +411,10 @@ class TestPipelineSmall:
             assert np.array_equal(m.values, values) != moved, name
 
     def test_state_with_old_influence_sums_loads_and_resumes_the_same(self, tmp_path):
-        """States once stored every masked layer's mask-gradient sum as
-        ``<layer>.mask_grad`` and ``<layer>.mask_samples``; such a checkpoint
-        loads and resumes byte for byte like the same one without them."""
+        """Arrays the model lacks are ignored on load: a state that also holds
+        every masked layer's mask-gradient sum (``<layer>.mask_grad`` and
+        ``<layer>.mask_samples``, as format 1 once did) loads and resumes byte
+        for byte like the same one without them."""
         cfg = quick_config(tmp_path, rate=0.25)
         path, meta, arrays = measured_checkpoint(cfg, tmp_path)
         rng = np.random.default_rng(0)
@@ -426,18 +428,20 @@ class TestPipelineSmall:
         old_path = save_checkpoint(tmp_path / "old.ckpt", meta, old)
         assert_resumes_the_same(cfg, path, old_path)
 
-    def test_config_with_retired_keys_loads_and_resumes_the_same(self, tmp_path):
-        """Checkpoint configs once carried seven more keys for settings that
-        are now fixed; one holding them at those values loads and resumes
-        byte for byte like the same checkpoint without them."""
+    def test_config_with_removed_keys_is_refused_naming_them(self, tmp_path):
+        """A stored config holding keys of settings now fixed in code, even at
+        the values in force, is refused by name; the trainer is untouched."""
+        from tests.test_config import REMOVED_KEYS
+
         cfg = quick_config(tmp_path, rate=0.25)
         path, meta, arrays = measured_checkpoint(cfg, tmp_path)
-        meta["config"].update(influence_mode="absolute", scorer_input="absolute",
-                              binary_cutoff=1e-6, delta_freeze=1e-3,
-                              strategy_weight_scale=5.0, anneal_start_fc=0.01,
-                              anneal_end_factor_fc=100.0)
+        meta["config"].update(REMOVED_KEYS)
         old_path = save_checkpoint(tmp_path / "old.ckpt", meta, arrays)
-        assert_resumes_the_same(cfg, path, old_path)
+        other = make_trainer(cfg)
+        with pytest.raises(ConfigError, match="unknown configuration key.*ema_decay.*"
+                                              "influence_mode.*stall_boost"):
+            other.load(old_path)
+        assert other.completed == [] and other.maps == {} and other.strategies == {}
 
     def test_load_rejects_model_mismatch(self, tmp_path):
         cfg = quick_config(tmp_path)
@@ -471,6 +475,35 @@ class TestPipelineSmall:
                                           log_every=7))
         other.load(path)
         assert other.completed == ["baseline"]
+
+
+class TestStateFormat:
+    def test_a_saved_state_carries_the_format(self, tmp_path):
+        _, meta, _ = measured_checkpoint(quick_config(tmp_path, rate=0.25), tmp_path)
+        assert meta["state_format"] == STATE_FORMAT == 2
+
+    @pytest.mark.parametrize("stored", [None, 1, 3], ids=["unnumbered", "1", "3"])
+    def test_another_format_is_refused_naming_both(self, tmp_path, stored):
+        """Checked before the config or any array: the loading trainer keeps
+        its model, maps and strategies."""
+        cfg = quick_config(tmp_path, rate=0.25)
+        path, meta, arrays = measured_checkpoint(cfg, tmp_path)
+        del meta["state_format"]
+        if stored is not None:
+            meta["state_format"] = stored
+        meta["config"]["ema_decay"] = 0.9   # would be refused, but is never read
+        other_path = save_checkpoint(tmp_path / "other.ckpt", meta, arrays)
+        trainer = make_trainer(cfg)
+        trainer.load(path)
+        model = {k: v.copy() for k, v in trainer.model.state_arrays().items()}
+        maps, strategies = trainer.maps, trainer.strategies
+        with pytest.raises(CheckpointError,
+                           match=rf"trainer state format {stored or 1}; this version "
+                                 rf"reads format 2 only"):
+            trainer.load(other_path)
+        assert_same_arrays(trainer.model.state_arrays(), model)
+        assert trainer.maps is maps and trainer.strategies is strategies
+        assert trainer.completed == ["baseline", "measure"]
 
 
 class TestNonFiniteGuard:
@@ -592,6 +625,20 @@ def prune_checkpoints(cfg) -> list:
     return sorted(Path(cfg.out_dir).glob("checkpoint-prune-*.ckpt"))
 
 
+def full_width_state(cfg, path, numbered=True):
+    """The conv1 prune-stage checkpoint with its model arrays at full
+    width, as format 1 held them; without the format number if not
+    ``numbered``."""
+    meta, arrays = load_checkpoint(Path(cfg.out_dir) / "checkpoint-prune-conv1.ckpt")
+    _, measured = load_checkpoint(Path(cfg.out_dir) / "checkpoint-measure.ckpt")
+    model_keys = make_trainer(cfg).model.state_arrays().keys()
+    old = dict(arrays, **{k: measured[k] for k in measured
+                          if k.split(".velocity")[0] in model_keys})
+    if not numbered:
+        del meta["state_format"]
+    return save_checkpoint(path, meta, old)
+
+
 class TestNarrowedCheckpoints:
     def test_every_frozen_layer_is_narrowed(self, narrowed_run):
         cfg, report, trainer, _ = narrowed_run
@@ -626,17 +673,25 @@ class TestNarrowedCheckpoints:
         assert_same_arrays(state, {k: arrays[k] for k in state})
         assert fresh.prunable["conv2"].layer.out_channels == fresh.strategies["conv2"].kept
 
+    def test_an_unnumbered_full_width_state_is_refused_by_its_format(self, narrowed_run,
+                                                                     tmp_path):
+        cfg = narrowed_run[0]
+        path = full_width_state(cfg, tmp_path / "old.ckpt", numbered=False)
+        fresh = make_trainer(cfg)
+        blocks = list(fresh.model.blocks)
+        with pytest.raises(CheckpointError, match="trainer state format 1; this version "
+                                                  "reads format 2 only"):
+            fresh.load(path)
+        assert all(a is b for a, b in zip(fresh.model.blocks, blocks))
+        assert fresh.completed == [] and fresh._in_cols == {}
+
     def test_a_full_width_state_with_a_frozen_layer_is_refused(self, narrowed_run,
                                                                tmp_path):
-        """Checkpoints once held every layer at full width behind its gates;
-        one with a frozen layer no longer loads, and the model is untouched."""
+        """Format 1 held every layer at full width behind its gates; such
+        arrays under format 2 are refused by the first one that does not fit,
+        and the model is untouched."""
         cfg = narrowed_run[0]
-        meta, arrays = load_checkpoint(Path(cfg.out_dir) / "checkpoint-prune-conv1.ckpt")
-        _, measured = load_checkpoint(Path(cfg.out_dir) / "checkpoint-measure.ckpt")
-        model_keys = make_trainer(cfg).model.state_arrays().keys()
-        old = dict(arrays, **{k: measured[k] for k in measured
-                              if k.split(".velocity")[0] in model_keys})
-        path = save_checkpoint(tmp_path / "old.ckpt", meta, old)
+        path = full_width_state(cfg, tmp_path / "old.ckpt")
         fresh = make_trainer(cfg)
         blocks = list(fresh.model.blocks)
         with pytest.raises(ShapeError, match="state array conv1.conv.weight has shape"):
