@@ -10,10 +10,31 @@ module constants where they are used, not fields.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+
+#: default convergence window: snapshots a strategy must stay binary over
+DEFAULT_WINDOW = 3
+#: default distance from 0 or 1 within which a soft strategy entry is binary
+DEFAULT_DELTA_BIN = 0.01
+
+#: per numeric field, the range a valid value lies in: its wording and its test
+_RANGES = {
+    "batch_size": (">= 2", lambda v: v >= 2),
+    "delta_bin": ("in (0, 0.5)", lambda v: 0.0 < v < 0.5),
+    "lr_decay": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    **dict.fromkeys(("rate", "momentum"), ("in [0, 1)", lambda v: 0.0 <= v < 1.0)),
+    **dict.fromkeys(("anneal_start", "lr", "prune_lr", "finetune_lr"),
+                    ("> 0", lambda v: v > 0)),
+    **dict.fromkeys(("weight_decay", "baseline_epochs", "prune_epochs", "finetune_epochs",
+                     "train_limit", "test_limit", "synthetic_train", "synthetic_test",
+                     "crop_pad"), (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("anneal_end_factor", "eval_batch", "log_every", "window",
+                     "max_prune_epochs"), (">= 1", lambda v: v >= 1)),
+}
 
 
 @dataclass
@@ -39,8 +60,8 @@ class ExperimentConfig:
 
     # compression
     rate: float = 0.4                   # fraction of channels to remove
-    delta_bin: float = 0.01
-    window: int = 3
+    delta_bin: float = DEFAULT_DELTA_BIN
+    window: int = DEFAULT_WINDOW
 
     # sharpness anneal (one schedule for conv and fc layers)
     anneal_start: float = 0.01
@@ -65,23 +86,13 @@ class ExperimentConfig:
     log_every: int = 50
 
     def validate(self) -> "ExperimentConfig":
-        if not (0.0 <= self.rate < 1.0):
-            raise ConfigError(f"rate must be in [0, 1), got {self.rate}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.anneal_start <= 0:
-            raise ConfigError("anneal_start must be positive")
-        if self.anneal_end_factor < 1:
-            raise ConfigError("anneal_end_factor must be >= 1")
-        if not (0.0 < self.delta_bin < 0.5):
-            raise ConfigError(f"delta_bin must be in (0, 0.5), got {self.delta_bin}")
-        for name in ("baseline_epochs", "prune_epochs", "finetune_epochs", "train_limit",
-                     "test_limit", "synthetic_train", "synthetic_test", "crop_pad"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("eval_batch", "log_every", "window", "max_prune_epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.name in _RANGES and not _RANGES[f.name][1](value):
+                raise ConfigError(f"{f.name} must be {_RANGES[f.name][0]}, got {value}")
         return self
 
     def to_dict(self) -> dict:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_WINDOW
 from .errors import ShapeError
 from .layers import Parameter
 
@@ -207,7 +208,7 @@ class StrategyState:
     center: float = 0.0               # sigmoid center offset
     status: str = "pending"           # pending | active | frozen | skipped
     history: list = field(default_factory=list)   # recent soft snapshots
-    history_cap: int = 3
+    history_cap: int = DEFAULT_WINDOW
 
     def snapshot(self) -> None:
         self.history.append(self.soft.copy())

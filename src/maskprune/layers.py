@@ -177,6 +177,14 @@ class _DrawStream:
                 p.data = np.ascontiguousarray(data, dtype=np.float64)
 
 
+def _copy_with(layer, **attrs):
+    """A layer of ``layer``'s class with its attributes, ``attrs`` replacing
+    some, built without running the constructor."""
+    out = object.__new__(type(layer))
+    out.__dict__.update(vars(layer), **attrs)
+    return out
+
+
 def _apply_channel_gate(out: np.ndarray, gate: np.ndarray) -> np.ndarray:
     """Scale each channel of ``out`` by its gate.  An all-open gate returns
     ``out`` itself: ``x * 1.0 == x`` exactly, so that pass would be dead work."""
@@ -241,6 +249,14 @@ class _MaskedLayer:
         frozen = self.frozen
         yield self.weight, frozen
         yield self.bias, frozen
+
+    def sliced(self, out_keep: np.ndarray, in_keep: np.ndarray, velocity: bool = False):
+        """A copy over the weight rows ``out_keep`` and columns ``in_keep`` and
+        the bias and gate entries ``out_keep``, with their velocities if
+        ``velocity`` (see ``Parameter.sliced``), holding no activation."""
+        return _copy_with(self, weight=self.weight.sliced(out_keep, in_keep, velocity=velocity),
+                          bias=self.bias.sliced(out_keep, velocity=velocity),
+                          gate=self.gate[out_keep], gate_grad=None, _pre_gate=None, _cache=None)
 
 
 class MaskedConv2d(_MaskedLayer):
@@ -382,6 +398,13 @@ class BatchNorm2d:
     def param_groups(self):
         yield self.gamma, None
         yield self.beta, None
+
+    def sliced(self, keep: np.ndarray, velocity: bool = False) -> "BatchNorm2d":
+        """A copy over channels ``keep``, with their velocities if ``velocity``."""
+        return _copy_with(self, gamma=self.gamma.sliced(keep, velocity=velocity),
+                          beta=self.beta.sliced(keep, velocity=velocity),
+                          running_mean=self.running_mean[keep],
+                          running_var=self.running_var[keep], _cache=None)
 
 
 class ReLU:

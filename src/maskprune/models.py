@@ -20,22 +20,21 @@ Each block kind (conv, linear, residual, global pool, flatten) describes
 itself, so neither `Model` nor :func:`maskprune.metrics.count_flops` switches
 on block type: ``layers()`` yields its weighted layers as ``(suffix, layer)``
 in state order, ``prunable_name`` and ``gated`` name its prunable masked
-layer, ``compacted(active, in_shape, keep, narrow)`` returns a copy over its
+layer, ``sliced(active, in_shape, keep, velocity)`` returns a copy over its
 kept channels with the channels it leaves open, and ``cost(in_shape,
 active_in)`` its MACs, parameters and open output channels under its ``kind``
 (``"conv"``, ``"res"``, ``"fc"``, or None for a block without weights).
-Compaction (`Model.compact`), narrowing (`Model.narrow`) and the cost table
-walk the blocks from the model's input shape through each ``out_shape``, so
-none needs a forward pass.  A compacted model's arrays are fresh sliced copies
-with every gate open and no velocity, so it trains, saves and loads like any
-model.  Narrowing slices a model in place for further training: the block of
-a layer with closed channels and the blocks that read them are replaced by
-slices that carry the kept gate, velocity and running-statistic entries too.
-The trainer narrows each layer as it freezes it.  Slicing a weight not yet
-drawn draws nothing (``Parameter.sliced``), so a fresh model narrowed to a
-checkpoint's shapes and loaded never draws.  Residual blocks only ever have
-their first (in-block) convolution narrowed; the stream width entering and
-leaving a block is fixed.
+
+Removing channels (a filter goes with the next layer's kernels that read it)
+is one walk, ``Model._sliced``, from the input shape through each block's
+``out_shape``, with no forward pass.  It slices every block over fresh copies
+of the kept weights, biases, gate entries and running statistics.
+`Model.compact` wraps the slices in a new model, velocities left out;
+`Model.narrow`, which the trainer calls as it freezes each layer, swaps every
+block for its slice, velocities kept.  Slicing a weight not yet drawn draws
+nothing (``Parameter.sliced``), so a fresh model narrowed to a checkpoint's
+shapes and loaded never draws.  Residual blocks only ever have their first
+(in-block) convolution narrowed; the stream width is fixed.
 
 An eval forward (``train=False``) keeps no activations: each block's layers
 drop what they keep for a backward as the block returns, and a backward after
@@ -43,9 +42,9 @@ it raises.  On a hard-gated model it also runs compacted: when every prunable
 gate is 0/1 with at least one channel closed and none of those layers closed
 entirely, and every other gate is all ones, ``Model.forward`` returns
 ``self.compact(keep).forward(x)`` with ``keep`` read off the gates, so closed
-channels are never computed.  Training, soft gates, gates frozen at a nonzero
-value and all-open gates run the dense path; so does a narrowed model, whose
-gates are all open.
+channels are never computed and the kept gate entries it carries are all 1.0.
+Training, soft gates, gates frozen at a nonzero value and all-open gates run
+the dense path; so does a narrowed model, whose gates are all open.
 """
 
 from __future__ import annotations
@@ -93,34 +92,6 @@ def _conv_weight(init: _DrawStream, cout, cin, k) -> Parameter:
 
 def _linear_weight(init: _DrawStream, out, inp) -> Parameter:
     return init.add((out, inp), functools.partial(_he_linear, out=out, inp=inp))
-
-
-def _sliced(layer, out_keep: np.ndarray, in_keep: np.ndarray, narrow: bool = False):
-    """A fresh masked layer over copies of ``layer``'s weight rows ``out_keep``
-    and columns ``in_keep`` and its bias entries ``out_keep``.  Its gate is open
-    and it has no velocity, unless ``narrow``: then it carries the gate and
-    velocity entries of the channels it keeps.  One ``np.ix_`` index yields a
-    C-contiguous weight copy, so its matmul takes the same BLAS path as the
-    source layer's; a weight not yet drawn stays undrawn (``Parameter.sliced``)."""
-    weight = layer.weight.sliced(out_keep, in_keep, velocity=narrow)
-    bias = layer.bias.sliced(out_keep, velocity=narrow)
-    if isinstance(layer, MaskedLinear):
-        out = MaskedLinear(weight, bias)
-    else:
-        out = MaskedConv2d(weight, bias, layer.stride, layer.padding)
-    if narrow:
-        out.gate = layer.gate[out_keep]
-    return out
-
-
-def _sliced_bn(bn: BatchNorm2d, keep: np.ndarray, narrow: bool = False) -> BatchNorm2d:
-    """A fresh batch norm over copies of ``bn``'s channels ``keep``, with
-    their velocities if ``narrow``."""
-    out = BatchNorm2d(int(keep.sum()), bn.momentum, bn.eps)
-    out.gamma, out.beta = (bn.gamma.sliced(keep, velocity=narrow),
-                           bn.beta.sliced(keep, velocity=narrow))
-    out.running_mean, out.running_var = bn.running_mean[keep], bn.running_var[keep]
-    return out
 
 
 def _keep_vector(keep: dict[str, np.ndarray], block) -> np.ndarray:
@@ -220,10 +191,10 @@ class ConvBlock:
             ho, wo = self.pool.out_hw(ho, wo)
         return (self.conv.out_channels, ho, wo)
 
-    def compacted(self, active, in_shape, keep, narrow=False):
+    def sliced(self, active, in_shape, keep, velocity):
         out_keep = _keep_vector(keep, self)
-        bn = None if self.bn is None else _sliced_bn(self.bn, out_keep, narrow)
-        return ConvBlock(self.name, _sliced(self.conv, out_keep, active, narrow), bn,
+        bn = None if self.bn is None else self.bn.sliced(out_keep, velocity)
+        return ConvBlock(self.name, self.conv.sliced(out_keep, active, velocity), bn,
                          self.relu is not None, self.pool.kernel if self.pool else None,
                          self.prunable), out_keep
 
@@ -271,9 +242,9 @@ class LinearBlock:
     def out_shape(self, in_shape):
         return (self.linear.out_channels,)
 
-    def compacted(self, active, in_shape, keep, narrow=False):
+    def sliced(self, active, in_shape, keep, velocity):
         out_keep = _keep_vector(keep, self)
-        return LinearBlock(self.name, _sliced(self.linear, out_keep, active, narrow),
+        return LinearBlock(self.name, self.linear.sliced(out_keep, active, velocity),
                            self.relu is not None, self.prunable), out_keep
 
     def cost(self, in_shape, active_in):
@@ -345,19 +316,19 @@ class ResidualBlock:
         ho, wo = conv_output_hw(h, w, 3, 3, self.conv1.stride, self.conv1.padding)
         return (self.conv2.out_channels, ho, wo)
 
-    def compacted(self, active, in_shape, keep, narrow=False):
+    def sliced(self, active, in_shape, keep, velocity):
         if not active.all():
             raise ShapeError(f"residual block {self.name} cannot narrow its input stream")
         internal = _keep_vector(keep, self)
         stream = np.ones(self.conv2.out_channels, dtype=bool)
         ds_conv = ds_bn = None
         if self.ds_conv is not None:
-            ds_conv = _sliced(self.ds_conv, stream, active, narrow)
-            ds_bn = _sliced_bn(self.ds_bn, stream, narrow)
-        return ResidualBlock(self.name, _sliced(self.conv1, internal, active, narrow),
-                             _sliced_bn(self.bn1, internal, narrow),
-                             _sliced(self.conv2, stream, internal, narrow),
-                             _sliced_bn(self.bn2, stream, narrow), ds_conv, ds_bn), stream
+            ds_conv = self.ds_conv.sliced(stream, active, velocity)
+            ds_bn = self.ds_bn.sliced(stream, velocity)
+        return ResidualBlock(self.name, self.conv1.sliced(internal, active, velocity),
+                             self.bn1.sliced(internal, velocity),
+                             self.conv2.sliced(stream, internal, velocity),
+                             self.bn2.sliced(stream, velocity), ds_conv, ds_bn), stream
 
     def cost(self, in_shape, active_in):
         internal, stream = _active(self.conv1), self.conv2.out_channels
@@ -392,7 +363,7 @@ class PoolBlock:
     def out_shape(self, in_shape):
         return (in_shape[0],)
 
-    def compacted(self, active, in_shape, keep, narrow=False):
+    def sliced(self, active, in_shape, keep, velocity):
         return PoolBlock(self.name), active
 
     def cost(self, in_shape, active_in):
@@ -422,7 +393,7 @@ class FlattenBlock:
         c, h, w = in_shape
         return (c * h * w,)
 
-    def compacted(self, active, in_shape, keep, narrow=False):
+    def sliced(self, active, in_shape, keep, velocity):
         _, h, w = in_shape
         return FlattenBlock(self.name), np.repeat(active, h * w)
 
@@ -588,51 +559,42 @@ class Model:
 
     # -- compaction ---------------------------------------------------------
 
-    def compact(self, keep: dict[str, np.ndarray]) -> "Model":
-        """Physically remove channels whose keep flag is 0.
-
-        ``keep`` maps prunable layer names to boolean/0-1 vectors; layers not
-        in the map keep every channel.  Returns a new model of the same block
-        kinds over fresh copies of the kept weights, statistics and biases,
-        every gate open and no velocity: it can be trained, saved and compacted
-        again, and nothing done to this model afterwards reaches it.
-        """
+    def _sliced(self, keep: dict[str, np.ndarray], velocity: bool):
+        """Every block's slice (with velocities if ``velocity``) over the
+        channels ``keep`` leaves open, and, per weighted block whose input lost
+        a channel, its prunable name and the inputs it still reads, over its
+        former input width.  ``keep`` maps prunable layer names to 0/1 vectors
+        over their current widths; a layer not in it keeps every channel."""
+        unknown = sorted(set(keep) - {b.prunable_name for b in self.blocks
+                                      if b.kind is not None})
+        if unknown:
+            raise ShapeError(f"keep names no layer of {self.arch}: {', '.join(unknown)}")
         active = np.ones(self.input_shape[0], dtype=bool)
         shape = self.input_shape
-        new_blocks = []
+        blocks, read = [], {}
         for block in self.blocks:
-            new, active = block.compacted(active, shape, keep)
-            new_blocks.append(new)
+            if block.kind is not None and not active.all():
+                read[block.prunable_name] = active
+            new, active = block.sliced(active, shape, keep, velocity)
+            blocks.append(new)
             shape = block.out_shape(shape)
-        return Model(self.arch, new_blocks, self.input_shape, self.classes)
+        return blocks, read
+
+    def compact(self, keep: dict[str, np.ndarray]) -> "Model":
+        """A new model of fresh copies without the channels whose keep flag is
+        0 (see :meth:`_sliced`), and without velocities."""
+        return Model(self.arch, self._sliced(keep, velocity=False)[0], self.input_shape,
+                     self.classes)
 
     def narrow(self, keep: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Physically remove, in place, the channels whose keep flag is 0.
-
-        ``keep`` maps prunable layer names to boolean keep vectors over the
-        layers' current widths.  Each block with a closed channel in ``keep``,
-        and each block that reads one, is replaced by its slice over the open
-        channels; the slice carries the kept entries of every gate, velocity
-        and running statistic, so training goes on as if the closed channels,
-        which only ever carried zeros, were still there.  Other blocks are left
-        as they are, and a weight not yet drawn stays undrawn.  Returns, per
-        weighted block whose input was narrowed, its prunable name and the
-        inputs it still reads, over its former input width.
-        """
-        active = np.ones(self.input_shape[0], dtype=bool)
-        shape = self.input_shape
-        read = {}
-        for i, block in enumerate(self.blocks):
-            weighted = block.kind is not None
-            reads_closed = not active.all()
-            if reads_closed and weighted:
-                read[block.prunable_name] = active
-            out_shape = block.out_shape(shape)
-            if reads_closed or weighted and not np.all(keep.get(block.prunable_name, True)):
-                self.blocks[i], active = block.compacted(active, shape, keep, narrow=True)
-            else:
-                active = np.ones(out_shape[0], dtype=bool)
-            shape = out_shape
+        """Remove the channels whose keep flag is 0 in place: every block, in
+        the same ``blocks`` list, becomes its slice (see :meth:`_sliced`) with
+        velocities, so training goes on as if the closed channels, which only
+        carried zeros, were there.  Returns the inputs each reader keeps."""
+        # free the old activations first, or the copies fragment the heap
+        for block in self.blocks:
+            _release(block)
+        self.blocks[:], read = self._sliced(keep, velocity=True)
         return read
 
 

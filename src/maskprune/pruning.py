@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_DELTA_BIN, DEFAULT_WINDOW
 from .errors import ShapeError
 from .influence import binarize
 
@@ -142,8 +143,8 @@ class SharpnessSchedule:
     boost_factor: float = STALL_BOOST
 
     def __post_init__(self):
-        if self.start <= 0 or self.end <= 0:
-            raise ShapeError("sharpness bounds must be positive")
+        if not (self.start > 0 and self.end > 0):  # also refuses a NaN bound
+            raise ShapeError(f"sharpness bounds must be positive, got {self.start}, {self.end}")
         if self.end < self.start:
             raise ShapeError(f"sharpness end {self.end} below start {self.start}")
         if self.total_steps < 1:
@@ -162,7 +163,8 @@ class SharpnessSchedule:
         self.boost *= self.boost_factor
 
 
-def has_converged(history: list[np.ndarray], delta_bin: float = 0.01, window: int = 3) -> bool:
+def has_converged(history: list[np.ndarray], delta_bin: float = DEFAULT_DELTA_BIN,
+                  window: int = DEFAULT_WINDOW) -> bool:
     """True when the last ``window`` soft snapshots are all nearly binary and
     share one hard pattern."""
     if len(history) < window:

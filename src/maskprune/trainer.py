@@ -38,7 +38,7 @@ import numpy as np
 
 from . import pruning
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, write_effective_config
+from .config import DEFAULT_DELTA_BIN, DEFAULT_WINDOW, ExperimentConfig, write_effective_config
 from .data import Dataset, batches, cifar10_dataset, mnist_dataset, synthetic_dataset
 from .errors import CheckpointError, ConfigError, ConvergenceError, NumericalError, ShapeError
 from .influence import (
@@ -123,7 +123,7 @@ class StepMetrics:
 
 
 def anchor_center(scores: np.ndarray, target: np.ndarray, sharpness: float,
-                  delta_bin: float = 0.01) -> float:
+                  delta_bin: float = DEFAULT_DELTA_BIN) -> float:
     """Place the sigmoid center so the score split lines up with the target.
 
     This is the global influence threshold carried into score space: with
@@ -181,7 +181,7 @@ def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: Sharpne
 class StrategyMonitor:
     """Snapshot bookkeeping: convergence detection and the stall booster."""
 
-    def __init__(self, window: int = 3, delta_bin: float = 0.01,
+    def __init__(self, window: int = DEFAULT_WINDOW, delta_bin: float = DEFAULT_DELTA_BIN,
                  patience: int = STALL_PATIENCE):
         self.window = window
         self.delta_bin = delta_bin

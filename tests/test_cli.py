@@ -212,7 +212,16 @@ class TestConfigRefusals:
         ({"eval_batch": 0}, "eval_batch must be >= 1, got 0"),
         ({"synthetic_test": 0}, "test split is empty"),
         ({"synthetic_train": 16}, "train split holds 16 images, fewer than one batch"),
-    ], ids=["log_every", "eval_batch", "empty-test", "train-below-batch"])
+        ({"lr": "nan"}, "lr must be finite, got nan"),
+        ({"anneal_end_factor": "inf"}, "anneal_end_factor must be finite, got inf"),
+        ({"lr_milestones": "0.5, nan"}, "lr_milestones must be finite, got (0.5, nan)"),
+        ({"prune_lr": "-1"}, "prune_lr must be > 0, got -1.0"),
+        ({"momentum": "1"}, "momentum must be in [0, 1), got 1.0"),
+        ({"weight_decay": "-1"}, "weight_decay must be >= 0, got -1.0"),
+        ({"lr_decay": "0"}, "lr_decay must be in (0, 1], got 0.0"),
+    ], ids=["log_every", "eval_batch", "empty-test", "train-below-batch", "lr-nan",
+            "anneal-inf", "milestone-nan", "prune-lr-negative", "momentum-one",
+            "weight-decay-negative", "lr-decay-zero"])
     def test_value_that_would_crash_later_is_usage_error(self, tmp_path, capsys, over,
                                                          message):
         cfg = write_quick_config(tmp_path, **over)

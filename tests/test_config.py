@@ -119,8 +119,18 @@ class TestValidation:
             ExperimentConfig(crop_pad=-1).validate()
         ExperimentConfig(crop_pad=0).validate()
 
+    def test_number_bounds_are_inclusive_where_stated(self):
+        ExperimentConfig(momentum=0.0, weight_decay=0.0, lr_decay=1.0,
+                         lr_milestones=()).validate()
+
     @pytest.mark.parametrize("line", ["stall_boost = 0", "score_margin = 0",
-                                      "delta_bin = 0.5", "crop_pad = -1"])
+                                      "delta_bin = 0.5", "crop_pad = -1",
+                                      "anneal_start = nan", "anneal_end_factor = inf",
+                                      "lr = nan", "lr = -1", "momentum = nan",
+                                      "prune_lr = inf", "weight_decay = -1",
+                                      "lr_milestones = 0.5, nan", "lr_decay = 0",
+                                      "lr_decay = 1.5", "momentum = 1", "momentum = -0.1",
+                                      "finetune_lr = 0"])
     def test_cli_exits_1_naming_the_key(self, tmp_path, capsys, line):
         assert main(["eval", "--config", str(write_cfg(tmp_path, line + "\n"))]) == 1
         assert line.split()[0] in capsys.readouterr().err

@@ -401,6 +401,25 @@ class TestCompaction:
         with pytest.raises(ShapeError):
             m.compact(frozen_keep(frozen_strategies(m, keep)))
 
+    @pytest.mark.parametrize("method", ["compact", "narrow"])
+    @pytest.mark.parametrize("arch,name", [("tiny-cnn", "conv9"), ("resnet56", "res1.conv2")])
+    def test_a_keep_key_that_names_no_layer_is_refused(self, arch, name, method):
+        m = build_model(arch, 1, 28, 10, seed=0)
+        blocks = list(m.blocks)
+        with pytest.raises(ShapeError, match=rf"keep names no layer of {arch}: {name}$"):
+            getattr(m, method)({name: np.ones(8, dtype=bool)})
+        assert all(a is b for a, b in zip(m.blocks, blocks))
+
+    @pytest.mark.parametrize("arch", ["tiny-cnn", "lenet", "vgg16", "resnet56"])
+    def test_a_soft_kept_gate_is_carried(self, arch):
+        """A slice carries its kept gate entries, so compacting a model whose
+        kept channel has a soft gate keeps the dense gated logits."""
+        model, x, keep = trained_hard_gated(arch, seed=8)
+        ref = model.prunable()[0]
+        ref.layer.gate[np.flatnonzero(keep[ref.name])[0]] = 0.3
+        small = model.compact(keep)
+        assert_allclose(small.forward(x, train=False), dense_eval(model, x), rtol=0, atol=1e-12)
+
 
 def mini_resnet(seed=0):
     """Hand-built stem + two residual blocks (one with a stride-2 widening
@@ -803,14 +822,22 @@ class TestNarrow:
             kept = keep[block.prunable_name].sum()
             assert block.conv1.out_channels == block.conv2.in_channels == kept
 
-    def test_leaves_blocks_with_every_channel_open_as_they_are(self):
+    def test_replaces_every_block_and_copies_the_untouched_ones_exactly(self):
         model, _, keep = trained_hard_gated("tiny-cnn", seed=6)
-        before = list(model.blocks)
-        assert model.narrow({"conv3": np.ones(24, dtype=bool)}) == {}
-        assert all(a is b for a, b in zip(model.blocks, before))
-        model.narrow({"conv3": keep["conv3"]})
-        assert [a is b for a, b in zip(model.blocks, before)] == [
-            True, True, False, False, True, True]
+        for layer_keep, read in ((np.ones(24, dtype=bool), {}),
+                                 (keep["conv3"].astype(bool), {"conv4": keep["conv3"]})):
+            before, old = list(model.blocks), model.state_arrays()
+            assert model.narrow({"conv3": layer_keep}).keys() == read.keys()
+            assert not any(a is b for a, b in zip(model.blocks, before))
+            assert [b.shape for b in _buffers(model.blocks)
+                    if any(np.shares_memory(b, a) for a in _buffers(before))] == []
+            state = model.state_arrays()
+            assert state.keys() == old.keys()
+            assert any(k.endswith(".velocity") for k in state)
+            untouched = [k for k in state if not k.startswith(("conv3.", "conv4."))]
+            for key in untouched if read else state:
+                assert state[key].tobytes() == old[key].tobytes(), key
+        assert model.blocks[2].conv.out_channels == keep["conv3"].sum()
 
     def test_an_undrawn_model_narrows_and_loads_without_drawing(self, monkeypatch):
         src = build_model("lenet", 1, 28, 10, seed=1)

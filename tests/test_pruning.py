@@ -185,6 +185,14 @@ class TestSharpnessSchedule:
         with pytest.raises(ShapeError):
             SharpnessSchedule(0.01, 1.0, 0)
 
+    @pytest.mark.parametrize("start,end", [(float("nan"), 1.0), (0.01, float("nan")),
+                                           (float("nan"), float("nan"))])
+    def test_nan_bound_rejected(self, start, end):
+        # NaN compares false both ways, so it slipped past the positivity and
+        # order checks and made every sharpness NaN
+        with pytest.raises(ShapeError, match="sharpness bounds must be positive"):
+            SharpnessSchedule(start, end, 10)
+
     @pytest.mark.parametrize("factor", [0.0, 0.5, np.nextafter(1.0, 0.0), float("nan")])
     def test_boost_factor_below_one_rejected(self, factor):
         # a factor of 0 would divide by zero in the stall log, and one below 1

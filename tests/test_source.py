@@ -1,5 +1,6 @@
 """Static checks on the package source: every imported name is read, no code
-switches on block type, and every config field is read."""
+switches on block type, the block classes share one interface, and every
+config field is read."""
 
 import ast
 import dataclasses
@@ -95,6 +96,34 @@ def test_block_type_checks_are_found():
     src = ("isinstance(b, ConvBlock)\nisinstance(b, (int, models.PoolBlock))\n"
            "isinstance(b, BatchNorm2d)\n")
     assert block_type_checks(ast.parse(src)) == [1, 2]
+
+
+def block_methods(tree: ast.Module) -> dict[str, dict[str, list[str]]]:
+    """Per block class, its public methods (properties aside) and each one's
+    parameter names."""
+    return {node.name: {f.name: [a.arg for a in f.args.args + f.args.kwonlyargs]
+                        for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                        and not f.decorator_list}
+            for node in tree.body if isinstance(node, ast.ClassDef) and node.name in BLOCK_CLASSES}
+
+
+def test_block_classes_share_one_interface():
+    # the model walks its blocks through these methods alone, so a block kind
+    # that renames a parameter or lacks a method breaks it only at run time
+    methods = block_methods(ast.parse((PACKAGE_DIR / "models.py").read_text()))
+    assert methods.keys() == BLOCK_CLASSES
+    assert {name: m for name, m in methods.items() if m != methods["ConvBlock"]} == {}
+
+
+def test_block_interface_differences_are_found():
+    src = ("class ConvBlock:\n    def sliced(self, active, keep): ...\n"
+           "    @property\n    def gated(self): ...\n"
+           "class PoolBlock:\n    def sliced(self, active, *, velocity): ...\n"
+           "    def _walk(self): ...\nclass Model:\n    def forward(self, x): ...\n")
+    assert block_methods(ast.parse(src)) == {
+        "ConvBlock": {"sliced": ["self", "active", "keep"]},
+        "PoolBlock": {"sliced": ["self", "active", "velocity"]}}
 
 
 def config_reads(tree: ast.Module) -> set[str]:
