@@ -34,7 +34,6 @@ from .pruning import (
     CompressionPlan,
     SharpnessSchedule,
     build_plan,
-    has_converged,
     lambda_value,
     strategy_loss,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "count_flops",
     "ema_merge",
     "emit_report",
-    "has_converged",
     "lambda_value",
     "load_checkpoint",
     "parse_config",

@@ -30,8 +30,8 @@ _RANGES = {
     **dict.fromkeys(("anneal_start", "lr", "prune_lr", "finetune_lr"),
                     ("> 0", lambda v: v > 0)),
     **dict.fromkeys(("weight_decay", "baseline_epochs", "prune_epochs", "finetune_epochs",
-                     "train_limit", "test_limit", "synthetic_train", "synthetic_test",
-                     "crop_pad"), (">= 0", lambda v: v >= 0)),
+                     "synthetic_train", "synthetic_test", "crop_pad"),
+                    (">= 0", lambda v: v >= 0)),
     **dict.fromkeys(("anneal_end_factor", "eval_batch", "log_every", "window",
                      "max_prune_epochs"), (">= 1", lambda v: v >= 1)),
 }
@@ -50,8 +50,6 @@ class ExperimentConfig:
     test_files: str = ""
     synthetic_train: int = 5000
     synthetic_test: int = 1000
-    train_limit: int = 0                # 0 = use everything
-    test_limit: int = 0
     classes: int = 10
     batch_size: int = 128
     eval_batch: int = 512

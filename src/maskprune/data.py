@@ -52,9 +52,6 @@ class Dataset:
     def image_size(self) -> int:
         return self.images.shape[2]
 
-    def take(self, n: int) -> "Dataset":
-        return Dataset(self.name, self.images[:n], self.labels[:n], self.mean, self.std)
-
 
 def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return (x - mean[None, :, None, None]) / std[None, :, None, None]

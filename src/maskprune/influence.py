@@ -10,16 +10,16 @@ Channel-level decisions are produced by a tiny learned scorer: a single
 kernel the size of one channel slab plus a scalar bias, shared across the
 channels of a layer.  Its scalar outputs pass through a sharpness-scaled
 sigmoid centered at an offset; annealing the sharpness drives the soft keep
-probabilities to a hard 0/1 pattern.
+probabilities to a hard 0/1 pattern.  A :class:`StrategyState` stores only
+the soft vector; its hard pattern is that vector binarized on every read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .config import DEFAULT_WINDOW
 from .errors import ShapeError
 from .layers import Parameter
 
@@ -120,18 +120,9 @@ class ChannelScorer:
     across channels, so the scorer is a learned linear functional on slabs.
     """
 
-    def __init__(self, slab_shape: tuple[int, ...], kernel: np.ndarray | None = None,
-                 bias: float = 0.0):
-        if kernel is None:
-            size = int(np.prod(slab_shape))
-            kernel = np.full(slab_shape, 1.0 / size)
-        kernel = np.asarray(kernel, dtype=np.float64)
-        if kernel.shape != tuple(slab_shape):
-            raise ShapeError(
-                f"scorer kernel shape {kernel.shape} does not match slab {tuple(slab_shape)}"
-            )
-        self.kernel = Parameter(kernel)
-        self.bias = Parameter(np.array([float(bias)]))
+    def __init__(self, slab_shape: tuple[int, ...]):
+        self.kernel = Parameter(np.full(slab_shape, 1.0 / int(np.prod(slab_shape))))
+        self.bias = Parameter(np.array([0.0]))
 
     def score(self, map_values: np.ndarray) -> np.ndarray:
         """s[k] = <kernel, slab_k> + bias for every channel k."""
@@ -199,21 +190,28 @@ def scorer_gradients(scorer: ChannelScorer, map_values: np.ndarray, soft: np.nda
 
 @dataclass
 class StrategyState:
-    """Mutable pruning-strategy state for one prunable layer."""
+    """Pruning-strategy state for one prunable layer.
+
+    The hard keep pattern is derived from the soft vector on every read, so
+    the two cannot disagree.
+    """
 
     layer: str
     soft: np.ndarray                  # soft keep probabilities, in (0, 1)
-    hard: np.ndarray                  # current hard keep pattern (0/1)
+    _: KW_ONLY
     target: np.ndarray                # target keep pattern from the global plan
     center: float = 0.0               # sigmoid center offset
     status: str = "pending"           # pending | active | frozen | skipped
-    history: list = field(default_factory=list)   # recent soft snapshots
-    history_cap: int = DEFAULT_WINDOW
 
-    def snapshot(self) -> None:
-        self.history.append(self.soft.copy())
-        if len(self.history) > self.history_cap:
-            self.history.pop(0)
+    @property
+    def hard(self) -> np.ndarray:
+        """The hard keep pattern (0/1), ``binarize(soft)``."""
+        return binarize(self.soft)
+
+    @property
+    def softness(self) -> float:
+        """Largest distance of a soft entry from 0 or 1."""
+        return float(np.minimum(self.soft, 1.0 - self.soft).max())
 
     @property
     def kept(self) -> int:

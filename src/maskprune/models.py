@@ -101,9 +101,12 @@ def _keep_vector(keep: dict[str, np.ndarray], block) -> np.ndarray:
         return np.ones(width, dtype=bool)
     if not block.prunable:
         raise ShapeError(f"layer {name} is not prunable")
-    vec = np.asarray(keep[name]).astype(bool)
+    vec = np.asarray(keep[name])
     if vec.shape != (width,):
         raise ShapeError(f"keep vector for {name} has shape {vec.shape}, expected ({width},)")
+    if not ((vec == 0) | (vec == 1)).all():
+        raise ShapeError(f"keep vector for {name} holds an entry other than 0 or 1")
+    vec = vec.astype(bool)
     if not vec.any():
         raise ShapeError(f"keep vector for {name} removes every channel")
     return vec

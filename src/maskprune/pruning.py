@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_DELTA_BIN, DEFAULT_WINDOW
 from .errors import ShapeError
-from .influence import binarize
 
 #: multiplier in the strategy-loss weighting rule
 STRATEGY_WEIGHT_SCALE = 5.0
@@ -143,8 +141,9 @@ class SharpnessSchedule:
     boost_factor: float = STALL_BOOST
 
     def __post_init__(self):
-        if not (self.start > 0 and self.end > 0):  # also refuses a NaN bound
-            raise ShapeError(f"sharpness bounds must be positive, got {self.start}, {self.end}")
+        if not (0 < self.start < math.inf and 0 < self.end < math.inf):  # refuses NaN too
+            raise ShapeError(f"sharpness bounds must be positive and finite, got {self.start}, "
+                             f"{self.end}")
         if self.end < self.start:
             raise ShapeError(f"sharpness end {self.end} below start {self.start}")
         if self.total_steps < 1:
@@ -161,25 +160,6 @@ class SharpnessSchedule:
 
     def apply_boost(self) -> None:
         self.boost *= self.boost_factor
-
-
-def has_converged(history: list[np.ndarray], delta_bin: float = DEFAULT_DELTA_BIN,
-                  window: int = DEFAULT_WINDOW) -> bool:
-    """True when the last ``window`` soft snapshots are all nearly binary and
-    share one hard pattern."""
-    if len(history) < window:
-        return False
-    recent = history[-window:]
-    pattern = None
-    for soft in recent:
-        if np.minimum(soft, 1.0 - soft).max() > delta_bin:
-            return False
-        hard = binarize(soft)
-        if pattern is None:
-            pattern = hard
-        elif not np.array_equal(pattern, hard):
-            return False
-    return True
 
 
 def frozen_keep(strategies: dict) -> dict[str, np.ndarray]:

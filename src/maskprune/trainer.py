@@ -10,8 +10,11 @@ pure functions of (seed, epoch/index), so a resumed run replays exactly.
 
 During a layer's prune stage its gates carry the soft keep probabilities, so
 classification gradients flow into the scorer while the sharpness anneal
-pushes the probabilities to 0/1 ("false pruning").  When the stage freezes the
-layer, or skips it with a channel closed, `Model.narrow` removes the closed
+pushes the probabilities to 0/1 ("false pruning").  The scorer, the anneal
+schedule, the influence sum and the :class:`StrategyMonitor` counters belong
+to the stage and end with it; the monitor freezes the layer once its last
+``window`` snapshots are nearly binary with one hard pattern, the target.
+When the stage freezes the layer, or skips it with a channel closed, `Model.narrow` removes the closed
 channels from the trained model, along with the input columns that read them,
 so later stages train only open channels.  Strategies, targets and influence
 maps stay at full width; the active layer's influence is scattered back to it,
@@ -22,7 +25,10 @@ way.  At the end every layer is narrowed, so the compacted model is a copy.
 
 A checkpoint records the trainer's :data:`STATE_FORMAT`, and a load refuses
 any other format before it reads anything else.  Format 2 holds the narrowed
-arrays; a load narrows the fresh model from the stored hard patterns first.
+arrays, the influence maps, and each layer's soft keep vector, target and
+status; a load narrows the fresh model from the hard patterns those soft
+vectors binarize to first.  States written while format 2 also held hard
+patterns, scorers and sigmoid centres load the same: nothing reads those.
 Format 1, which carried no number, held every layer at full width.
 """
 
@@ -47,7 +53,6 @@ from .influence import (
     InfluenceMap,
     InfluenceSum,
     StrategyState,
-    binarize,
     capture_influence,
     channel_influence,
     ema_merge,
@@ -61,7 +66,6 @@ from .pruning import (
     CompressionPlan,
     SharpnessSchedule,
     build_plan,
-    has_converged,
     lambda_value,
     strategy_loss,
 )
@@ -73,8 +77,12 @@ log = logging.getLogger("maskprune")
 #: so a run can resume into a new directory)
 RUN_FIELDS = ("model", "dataset", "train_images", "train_labels", "test_images",
               "test_labels", "train_files", "test_files", "synthetic_train",
-              "synthetic_test", "train_limit", "test_limit", "classes", "batch_size",
-              "crop_pad", "flip", "rate", "seed")
+              "synthetic_test", "classes", "batch_size", "crop_pad", "flip", "rate",
+              "seed")
+
+#: removed config keys that format-2 states written before their removal hold,
+#: at 0 (off); a load drops them there and refuses any other value as unknown
+LEGACY_ZERO_KEYS = ("train_limit", "test_limit")
 
 #: what a trainer checkpoint holds; 1 (no number stored) kept every layer at
 #: full width, 2 holds frozen and skipped layers narrowed
@@ -147,9 +155,8 @@ def anchor_center(scores: np.ndarray, target: np.ndarray, sharpness: float,
 def score_strategy(scorer: ChannelScorer, state: StrategyState, sharpness: float,
                    map_in: np.ndarray) -> None:
     """Set ``state.soft`` to the scorer's keep probabilities at ``sharpness``
-    and ``state.hard`` to their binary pattern."""
+    (``state.hard`` is their binary pattern)."""
     state.soft = scaled_sigmoid(sharpness, scorer.score(map_in), state.center)
-    state.hard = binarize(state.soft)
 
 
 def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: SharpnessSchedule,
@@ -158,10 +165,9 @@ def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: Sharpne
                   momentum: float = SCORER_MOMENTUM) -> tuple[float, float]:
     """One refinement step of a layer's keep strategy.
 
-    ``state.soft`` and ``state.hard`` must hold the keep vectors at the
-    schedule's current sharpness, as :func:`score_strategy` leaves them (a
-    training step scores once, before its forward pass, and the step reuses
-    that).  Weights the strategy loss, folds in any gradient arriving from the
+    ``state.soft`` must hold the keep vector at the schedule's current
+    sharpness, as :func:`score_strategy` leaves it (a training step scores
+    once, before its forward pass, and the step reuses that).  Weights the strategy loss, folds in any gradient arriving from the
     classification path (``extra_grad_soft``), updates the scorer, and
     advances the anneal.  Returns ``(strategy_weight, strategy_loss)``.
     """
@@ -179,7 +185,8 @@ def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: Sharpne
 
 
 class StrategyMonitor:
-    """Snapshot bookkeeping: convergence detection and the stall booster."""
+    """Snapshot bookkeeping for one prune stage: the settle rule and the stall
+    booster."""
 
     def __init__(self, window: int = DEFAULT_WINDOW, delta_bin: float = DEFAULT_DELTA_BIN,
                  patience: int = STALL_PATIENCE):
@@ -187,13 +194,16 @@ class StrategyMonitor:
         self.delta_bin = delta_bin
         self.patience = patience
         self._stalls = 0
+        # trailing snapshots within delta_bin of 0 or 1 that share one pattern
+        self._settled = 0
         self._prev_hard: np.ndarray | None = None
 
     def observe(self, state: StrategyState, schedule: SharpnessSchedule) -> bool:
-        """Record a snapshot; True once the strategy has converged on target.
+        """Record a snapshot; True once the strategy has settled on target.
 
-        Convergence needs the window rule to hold *and* the binary pattern to
-        equal the target: entries parked between the binarization cutoff and
+        A strategy settles when its last ``window`` snapshots are all within
+        ``delta_bin`` of 0 or 1 and share one hard pattern, *and* that pattern
+        equals the target: entries parked between the binarization cutoff and
         ``delta_bin`` satisfy the window rule while still binarizing as kept,
         and freezing there would silently under-prune.  A stall — hard
         pattern unchanged across ``patience`` consecutive snapshots while any
@@ -201,13 +211,15 @@ class StrategyMonitor:
         the schedule's boost factor, which is what drives those parked
         entries the rest of the way down.
         """
-        state.snapshot()
-        if (has_converged(state.history, self.delta_bin, self.window)
-                and np.array_equal(state.hard, state.target)):
+        hard, softness = state.hard, state.softness
+        same = self._prev_hard is not None and np.array_equal(self._prev_hard, hard)
+        if softness <= self.delta_bin:
+            self._settled = self._settled + 1 if same and self._settled else 1
+        else:
+            self._settled = 0
+        if self._settled >= self.window and np.array_equal(hard, state.target):
             return True
-        softness = float(np.minimum(state.soft, 1.0 - state.soft).max())
-        if (self._prev_hard is not None and np.array_equal(self._prev_hard, state.hard)
-                and softness >= BINARY_CUTOFF):
+        if same and softness >= BINARY_CUTOFF:
             self._stalls += 1
             if self._stalls >= self.patience:
                 schedule.apply_boost()
@@ -217,7 +229,7 @@ class StrategyMonitor:
                 self._stalls = 0
         else:
             self._stalls = 0
-        self._prev_hard = state.hard.copy()
+        self._prev_hard = hard
         return False
 
 
@@ -232,10 +244,6 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         test = cifar10_dataset([p.strip() for p in cfg.test_files.split(",") if p.strip()])
     else:
         raise ConfigError(f"unknown dataset '{cfg.dataset}'")
-    if cfg.train_limit:
-        train = train.take(cfg.train_limit)
-    if cfg.test_limit:
-        test = test.take(cfg.test_limit)
     if len(train) < cfg.batch_size:
         raise ConfigError(f"train split holds {len(train)} images, fewer than one batch")
     if len(test) == 0:
@@ -250,9 +258,7 @@ class Trainer:
         self.model = model
         self.train_ds = train_ds
         self.test_ds = test_ds
-        self.prunable = {ref.name: ref for ref in model.prunable()}
         self.strategies: dict[str, StrategyState] = {}
-        self.scorers: dict[str, ChannelScorer] = {}
         self.maps: dict[str, InfluenceMap] = {}
         self.plan: CompressionPlan | None = None
         self.global_epoch = 0
@@ -263,6 +269,11 @@ class Trainer:
         self.stage: str | None = None  # stage id a failing train_step reports
         # per layer whose input narrowing cut, the inputs it still reads
         self._in_cols: dict[str, np.ndarray] = {}
+
+    @property
+    def prunable(self) -> dict:
+        """The model's prunable layers by name, at their current widths."""
+        return {ref.name: ref for ref in self.model.prunable()}
 
     # -- data/loss plumbing ---------------------------------------------
 
@@ -293,19 +304,16 @@ class Trainer:
             state = self.strategies[active]
             layer = self.prunable[active].layer
             schedule = self._schedule
-            score_strategy(self.scorers[active], state, schedule.value(), self._map_in)
+            score_strategy(self._scorer, state, schedule.value(), self._map_in)
             layer.gate[:] = state.soft
         logits = self.model.forward(x, train=True)
         loss_cls, grad = softmax_cross_entropy(logits, y)
-        if not math.isfinite(loss_cls):
-            raise NumericalError(
-                f"non-finite loss {loss_cls} in stage {self.stage or '(none)'}, epoch "
-                f"{self.global_epoch}, step {step}; no update was applied")
+        self._check_loss(loss_cls, step)
         self.model.backward(grad)
         if active is not None:
             self._influence.add(x.shape[0])
             weight, s_loss = strategy_step(
-                self.scorers[active], state, schedule, self._map_in,
+                self._scorer, state, schedule, self._map_in,
                 extra_grad_soft=layer.gate_grad, lr=self._scorer_lr)
         else:
             weight, s_loss = 0.0, 0.0
@@ -313,6 +321,14 @@ class Trainer:
         kept = self.strategies[active].kept if active else -1
         return StepMetrics(loss_cls + weight * s_loss, loss_cls, s_loss, weight,
                            self._schedule.value() if active else 0.0, kept)
+
+    def _check_loss(self, loss: float, step: int, stage: str | None = None) -> None:
+        """Raise :class:`NumericalError` naming the stage, epoch and ``step``
+        when ``loss`` is not finite."""
+        if not math.isfinite(loss):
+            raise NumericalError(
+                f"non-finite loss {loss} in stage {stage or self.stage or '(none)'}, epoch "
+                f"{self.global_epoch}, step {step}; no update was applied")
 
     def evaluate(self, model: Model | None = None) -> float:
         """Top-1 accuracy (percent) on the test split, deterministic order."""
@@ -343,11 +359,13 @@ class Trainer:
     def measure_influence(self) -> dict[str, np.ndarray]:
         """One update-free pass over the training data, summing the influence
         of every prunable layer; refreshes the stored maps and returns the
-        per-channel influence vectors."""
+        per-channel influence vectors.  A non-finite loss raises
+        :class:`NumericalError` naming stage ``measure`` before any map moves."""
         sums = {name: InfluenceSum(ref.layer) for name, ref in self.prunable.items()}
-        for x, y in self._train_batches(self.global_epoch):
+        for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
             logits = self.model.forward(x, train=True, update_stats=False)
-            _, grad = softmax_cross_entropy(logits, y)
+            loss, grad = softmax_cross_entropy(logits, y)
+            self._check_loss(loss, i, "measure")
             self.model.backward(grad)
             for acc in sums.values():
                 acc.add(x.shape[0])
@@ -372,9 +390,8 @@ class Trainer:
         self.plan = build_plan(influences, cfg.rate)
         for name, ref in self.prunable.items():
             width = ref.layer.out_channels
-            self.strategies[name] = StrategyState(
-                layer=name, soft=np.full(width, 0.5), hard=np.ones(width, dtype=np.int64),
-                target=self.plan.targets[name], history_cap=cfg.window)
+            self.strategies[name] = StrategyState(name, np.full(width, 0.5),
+                                                  target=self.plan.targets[name])
         log.info("plan fixed: threshold %.6g, keeping %d of %d channels",
                  self.plan.threshold, self.plan.kept_channels, self.plan.total_channels)
 
@@ -398,19 +415,17 @@ class Trainer:
 
     def _start_prune(self, name: str, epochs: int) -> None:
         """Make ``name`` the active layer: a fresh influence sum for
-        ``train_step`` to feed, an anneal over ``epochs`` epochs and a scorer
-        over the layer's map."""
+        ``train_step`` to feed, an anneal over ``epochs`` epochs and a fresh
+        scorer over the layer's map.  All of it lives for this stage only."""
         cfg = self.cfg
-        state = self.strategies[name]
-        state.status = "active"
-        state.history = []
+        self.strategies[name].status = "active"
         self._influence = InfluenceSum(self.prunable[name].layer)
         total = max(1, epochs * self.steps_per_epoch())
         self._schedule = SharpnessSchedule(cfg.anneal_start,
                                            cfg.anneal_start * cfg.anneal_end_factor, total)
         self._map_in = np.abs(self.maps[name].values)
-        self.scorers[name] = ChannelScorer(self._map_in.shape[1:])
-        self.scorers[name].rescale_for_spread(self._map_in, SCORE_MARGIN)
+        self._scorer = ChannelScorer(self._map_in.shape[1:])
+        self._scorer.rescale_for_spread(self._map_in, SCORE_MARGIN)
         self._scorer_lr = SCORER_LR
 
     def _captured_map(self, name: str) -> InfluenceMap:
@@ -431,15 +446,21 @@ class Trainer:
         :meth:`Model.narrow`); strategies, targets and maps stay at full
         width."""
         self._in_cols.update(self.model.narrow(keep))
-        self.prunable = {ref.name: ref for ref in self.model.prunable()}
+
+    def _close(self, name: str, status: str) -> None:
+        """End ``name``'s prune stage with ``status``: its gate takes the hard
+        pattern, and the model is narrowed over the open channels."""
+        state = self.strategies[name]
+        self.prunable[name].layer.gate[:] = state.hard
+        state.status = status
+        self._narrow({name: state.hard.astype(bool)})
 
     def _stage_prune(self, phase: Phase) -> None:
         cfg = self.cfg
         name = phase.layer
-        ref = self.prunable[name]
         state = self.strategies[name]
         self._start_prune(name, phase.epochs)
-        scorer = self.scorers[name]
+        scorer = self._scorer
 
         def recenter():
             state.center = anchor_center(scorer.score(self._map_in), state.target,
@@ -447,13 +468,10 @@ class Trainer:
 
         recenter()
         score_strategy(scorer, state, self._schedule.value(), self._map_in)
-        if (np.minimum(state.soft, 1.0 - state.soft).max() <= cfg.delta_bin
-                and np.array_equal(state.hard, state.target)):
+        if state.softness <= cfg.delta_bin and np.array_equal(state.hard, state.target):
             # already binary and on target at the current sharpness: nothing
             # to anneal (typical for an all-keep target)
-            ref.layer.gate[:] = state.hard
-            state.status = "skipped"
-            self._narrow({name: state.hard.astype(bool)})
+            self._close(name, "skipped")
             log.info("prune %s: target already satisfied, skipping", name)
             return
 
@@ -495,10 +513,7 @@ class Trainer:
             raise ConvergenceError(
                 f"layer {name} did not reach a stable binary strategy within "
                 f"{cfg.max_prune_epochs} epochs", soft_keep=state.soft.copy())
-        state.hard = binarize(state.soft)
-        ref.layer.gate[:] = state.hard
-        state.status = "frozen"
-        self._narrow({name: state.hard.astype(bool)})
+        self._close(name, "frozen")
         log.info("prune %s frozen: kept %d/%d channels", name, state.kept,
                  state.target.size)
 
@@ -580,11 +595,7 @@ class Trainer:
             arrays[f"map.{name}.values"] = m.values
         for name, s in self.strategies.items():
             arrays[f"strategy.{name}.soft"] = s.soft
-            arrays[f"strategy.{name}.hard"] = s.hard
             arrays[f"strategy.{name}.target"] = s.target
-        for name, sc in self.scorers.items():
-            arrays[f"scorer.{name}.kernel"] = sc.kernel.data
-            arrays[f"scorer.{name}.bias"] = sc.bias.data
         meta = {
             "state_format": STATE_FORMAT,
             "config": self.cfg.to_dict(),
@@ -593,12 +604,9 @@ class Trainer:
             "metrics": {k: v for k, v in self.metrics.items() if k != "report"},
             "phase_seconds": self.phase_seconds,
             "map_samples": {n: m.samples for n, m in self.maps.items()},
-            "strategy_meta": {n: {"status": s.status, "center": s.center}
-                              for n, s in self.strategies.items()},
+            "strategy_meta": {n: {"status": s.status} for n, s in self.strategies.items()},
             "plan": None if self.plan is None else
                     {"rate": self.plan.rate, "threshold": self.plan.threshold},
-            "input_shape": list(self.model.input_shape),
-            "classes": self.model.classes,
         }
         return save_checkpoint(path, meta, arrays)
 
@@ -608,28 +616,23 @@ class Trainer:
         if found != STATE_FORMAT:
             raise CheckpointError(f"checkpoint {path} holds trainer state format {found!r}; "
                                   f"this version reads format {STATE_FORMAT} only")
-        stored = ExperimentConfig.from_dict(meta["config"])
+        stored = ExperimentConfig.from_dict({k: v for k, v in meta["config"].items()
+                                             if not (k in LEGACY_ZERO_KEYS and v == 0)})
         diffs = [f"{f}: checkpoint {getattr(stored, f)!r}, config {getattr(self.cfg, f)!r}"
                  for f in RUN_FIELDS if getattr(stored, f) != getattr(self.cfg, f)]
         if diffs:
             raise ConfigError(f"checkpoint {path} belongs to a different run ("
                               + "; ".join(diffs) + ")")
-        maps, strategies, scorers = {}, {}, {}
+        maps, strategies = {}, {}
         for name in self.prunable:
             key = f"map.{name}.values"
             if key in arrays:
                 maps[name] = InfluenceMap(name, arrays[key], int(meta["map_samples"][name]))
             skey = f"strategy.{name}.soft"
             if skey in arrays:
-                s_meta = meta["strategy_meta"][name]
                 strategies[name] = StrategyState(
-                    layer=name, soft=arrays[skey], hard=arrays[f"strategy.{name}.hard"],
-                    target=arrays[f"strategy.{name}.target"], center=float(s_meta["center"]),
-                    status=s_meta["status"], history_cap=self.cfg.window)
-            kkey = f"scorer.{name}.kernel"
-            if kkey in arrays:
-                scorers[name] = ChannelScorer(arrays[kkey].shape, kernel=arrays[kkey],
-                                              bias=float(arrays[f"scorer.{name}.bias"][0]))
+                    name, arrays[skey], target=arrays[f"strategy.{name}.target"],
+                    status=meta["strategy_meta"][name]["status"])
         # the stored model is narrowed over every frozen or skipped layer's
         # open channels; the fresh one gets the same shapes, drawing nothing
         closed = {n: s.hard.astype(bool) for n, s in strategies.items()
@@ -642,13 +645,12 @@ class Trainer:
         except ShapeError:
             # a refused state leaves the model as it was
             self.model.blocks[:], self._in_cols = blocks, in_cols
-            self.prunable = {ref.name: ref for ref in self.model.prunable()}
             raise
         self.completed = list(meta["completed"])
         self.global_epoch = int(meta["global_epoch"])
         self.metrics = dict(meta["metrics"])
         self.phase_seconds = dict(meta["phase_seconds"])
-        self.maps, self.strategies, self.scorers = maps, strategies, scorers
+        self.maps, self.strategies = maps, strategies
         if meta.get("plan"):
             targets = {n: self.strategies[n].target for n in self.prunable
                        if n in self.strategies}

@@ -324,9 +324,7 @@ class TestC05PlantedStrategyConvergence:
             scorer = ChannelScorer(map_in.shape[1:])
             scorer.rescale_for_spread(map_in, 14.0)
             schedule = SharpnessSchedule(0.01, 1.0, 400, boost_factor=2.0)
-            state = StrategyState(layer=f"planted{n}", soft=np.full(n, 0.5),
-                                  hard=np.ones(n, dtype=np.int64), target=target,
-                                  history_cap=3)
+            state = StrategyState(layer=f"planted{n}", soft=np.full(n, 0.5), target=target)
             state.center = anchor_center(scorer.score(map_in), target,
                                          schedule.value())
             monitor = StrategyMonitor(3, 0.01, 3)

@@ -255,6 +255,26 @@ class TestInspectInfluence:
         assert (tmp_path / "run" / "influence.csv").exists()
 
 
+class TestSeedOverride:
+    def test_seed_flag_runs_as_a_config_with_that_seed(self, tmp_path):
+        """``--seed 5`` over a seed-11 config trains what a seed-5 config
+        trains, and records seed 5."""
+        states = []
+        for name, seed, flag in (("flag", 11, ["--seed", "5"]), ("conf", 5, [])):
+            (tmp_path / name).mkdir()
+            cfg = write_quick_config(tmp_path / name, seed=seed, synthetic_train=64,
+                                     synthetic_test=32)
+            assert main(["train", "--config", str(cfg)] + flag) == 0
+            out = tmp_path / name / "run"
+            assert "seed = 5\n" in (out / "effective-config.txt").read_text()
+            states.append(load_checkpoint(out / "checkpoint-baseline.ckpt"))
+        (meta_a, arrays_a), (meta_b, arrays_b) = states
+        assert meta_a["config"]["seed"] == meta_b["config"]["seed"] == 5
+        assert arrays_a.keys() == arrays_b.keys()
+        for key in arrays_a:
+            assert arrays_a[key].tobytes() == arrays_b[key].tobytes(), key
+
+
 class TestZeroEpochTrain:
     def test_train_with_zero_epochs_is_a_noop(self, tmp_path, capsys):
         cfg = write_quick_config(tmp_path, baseline_epochs=0)

@@ -16,7 +16,7 @@ REMOVED_KEYS = {"influence_mode": "absolute", "scorer_input": "absolute",
                 "strategy_weight_scale": 5.0, "anneal_start_fc": 0.01,
                 "anneal_end_factor_fc": 100.0, "ema_decay": 0.9, "score_margin": 14.0,
                 "stall_boost": 2.0, "stall_patience": 3, "strategy_eval_every": 20,
-                "scorer_lr": 0.05, "scorer_momentum": 0.9}
+                "scorer_lr": 0.05, "scorer_momentum": 0.9, "train_limit": 0, "test_limit": 0}
 
 
 def write_cfg(tmp_path, text):
@@ -93,8 +93,7 @@ class TestValidation:
                 ExperimentConfig(**{name: bad}).validate()
         ExperimentConfig(**{name: 1}).validate()
 
-    @pytest.mark.parametrize("name", ["train_limit", "test_limit", "synthetic_train",
-                                      "synthetic_test"])
+    @pytest.mark.parametrize("name", ["synthetic_train", "synthetic_test"])
     def test_sizes_nonnegative(self, name):
         # a negative synthetic_train would split the generated images
         # silently (-5 with 1000 test images: 990 train, 5 test)
@@ -164,7 +163,7 @@ class TestRoundTrip:
 class TestRemovedKeys:
     def test_field_count(self):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert len(fields) == 36 and not fields & set(REMOVED_KEYS)
+        assert len(fields) == 34 and not fields & set(REMOVED_KEYS)
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_refused_as_unknown_even_at_the_value_in_force(self, tmp_path, key):

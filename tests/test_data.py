@@ -106,17 +106,22 @@ class TestIdxFiles:
         assert ds.std.reshape(()) == MNIST_STD[0] == 0.3081
 
 
+def write_cifar_batch(path, n, seed=0):
+    """A CIFAR-10 binary batch of ``n`` random records; returns the labels and
+    pixels written."""
+    rng = np.random.default_rng(seed)
+    blob = bytearray()
+    labels = rng.integers(0, 10, size=n)
+    pixels = rng.integers(0, 256, size=(n, 3072), dtype=np.uint8)
+    for i in range(n):
+        blob.append(int(labels[i]))
+        blob += pixels[i].tobytes()
+    path.write_bytes(bytes(blob))
+    return labels, pixels
+
+
 class TestCifar10:
-    def _write_batch(self, path, n, seed=0):
-        rng = np.random.default_rng(seed)
-        blob = bytearray()
-        labels = rng.integers(0, 10, size=n)
-        pixels = rng.integers(0, 256, size=(n, 3072), dtype=np.uint8)
-        for i in range(n):
-            blob.append(int(labels[i]))
-            blob += pixels[i].tobytes()
-        path.write_bytes(bytes(blob))
-        return labels, pixels
+    _write_batch = staticmethod(write_cifar_batch)
 
     def test_record_layout(self, tmp_path):
         p = tmp_path / "batch.bin"
@@ -254,7 +259,3 @@ class TestBatches:
         ds = self._tiny(8)
         with pytest.raises(DataError):
             next(batches(ds, 1, 0, seed=0, train=True))
-
-    def test_take_limits(self):
-        ds = self._tiny(10).take(4)
-        assert len(ds) == 4

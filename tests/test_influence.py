@@ -163,7 +163,8 @@ class TestChannelScorer:
     def test_score_is_inner_product_plus_bias(self):
         rng = np.random.default_rng(7)
         maps = rng.normal(size=(5, 2, 3, 3))
-        sc = ChannelScorer((2, 3, 3), kernel=rng.normal(size=(2, 3, 3)), bias=0.7)
+        sc = ChannelScorer((2, 3, 3))
+        sc.kernel.data, sc.bias.data = rng.normal(size=(2, 3, 3)), np.array([0.7])
         got = sc.score(maps)
         want = np.array([(maps[k] * sc.kernel.data).sum() + 0.7 for k in range(5)])
         assert_allclose(got, want, rtol=1e-12)
@@ -190,7 +191,8 @@ class TestChannelScorer:
     def test_scorer_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         maps = rng.normal(size=(6, 2, 3, 3))
-        sc = ChannelScorer((2, 3, 3), kernel=rng.normal(size=(2, 3, 3)), bias=0.2)
+        sc = ChannelScorer((2, 3, 3))
+        sc.kernel.data, sc.bias.data = rng.normal(size=(2, 3, 3)), np.array([0.2])
         center, sharp = 0.3, 1.7
         grad_soft = rng.normal(size=6)
 
@@ -226,15 +228,21 @@ class TestChannelScorer:
 
 
 class TestStrategyState:
-    def test_snapshot_ring_keeps_last_entries(self):
-        st = StrategyState("l", np.array([0.5]), np.array([1]), np.array([1]),
-                           history_cap=3)
-        for v in [0.1, 0.2, 0.3, 0.4]:
-            st.soft = np.array([v])
-            st.snapshot()
-        assert len(st.history) == 3
-        assert_allclose([h[0] for h in st.history], [0.2, 0.3, 0.4], rtol=0)
+    def test_hard_is_the_binarized_soft_vector(self):
+        st = StrategyState("l", np.array([0.7, BINARY_CUTOFF / 2, 1.0, 0.5]),
+                           target=np.ones(4))
+        assert st.hard.tolist() == [1, 0, 1, 1] and st.kept == 3
+        st.soft = np.array([0.0, 0.9, 0.0, 0.0])
+        assert st.hard.tolist() == [0, 1, 0, 0] and st.kept == 1
 
-    def test_kept_counts_hard_ones(self):
-        st = StrategyState("l", np.zeros(4), np.array([1, 0, 1, 1]), np.ones(4))
-        assert st.kept == 3
+    def test_softness_is_the_largest_distance_from_0_or_1(self):
+        st = StrategyState("l", np.array([1 - 1e-3, 0.2, 1e-9]), target=np.ones(3))
+        assert_allclose(st.softness, 0.2, rtol=0)
+        st.soft = np.array([1.0, 0.0])
+        assert st.softness == 0.0
+
+    def test_fields_after_soft_are_keyword_only(self):
+        # a positional call written for the order (layer, soft, hard, target,
+        # center) would bind the target to the hard pattern's place
+        with pytest.raises(TypeError):
+            StrategyState("l", np.ones(2), np.ones(2), np.ones(2))

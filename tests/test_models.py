@@ -42,8 +42,8 @@ def frozen_strategies(model, keep: dict[str, np.ndarray]):
     for ref in model.prunable():
         width = ref.layer.out_channels
         hard = keep.get(ref.name, np.ones(width, dtype=np.int64))
-        out[ref.name] = StrategyState(ref.name, hard.astype(float), hard,
-                                      hard.copy(), status="frozen")
+        out[ref.name] = StrategyState(ref.name, hard.astype(float), target=hard.copy(),
+                                      status="frozen")
         ref.layer.gate[:] = hard.astype(float)
     return out
 
@@ -409,6 +409,23 @@ class TestCompaction:
         with pytest.raises(ShapeError, match=rf"keep names no layer of {arch}: {name}$"):
             getattr(m, method)({name: np.ones(8, dtype=bool)})
         assert all(a is b for a, b in zip(m.blocks, blocks))
+
+    @pytest.mark.parametrize("method", ["compact", "narrow"])
+    @pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, np.nan])
+    def test_a_keep_entry_other_than_0_or_1_is_refused(self, entry, method):
+        # read as "nonzero keeps", a vector of 0.5 kept every channel
+        m = build_model("tiny-cnn", 1, 28, 10, seed=0)
+        blocks = list(m.blocks)
+        with pytest.raises(ShapeError, match="keep vector for conv1 holds an entry other "
+                                             "than 0 or 1"):
+            getattr(m, method)({"conv1": np.full(8, entry)})
+        assert all(a is b for a, b in zip(m.blocks, blocks))
+
+    @pytest.mark.parametrize("keep", [np.array([1, 0] * 4), np.array([1.0, 0.0] * 4),
+                                      np.array([True, False] * 4)], ids=["int", "float", "bool"])
+    def test_0_1_and_boolean_keep_vectors_agree(self, keep):
+        m = build_model("tiny-cnn", 1, 28, 10, seed=0)
+        assert m.compact({"conv1": keep}).blocks[0].conv.out_channels == 4
 
     @pytest.mark.parametrize("arch", ["tiny-cnn", "lenet", "vgg16", "resnet56"])
     def test_a_soft_kept_gate_is_carried(self, arch):

@@ -7,9 +7,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maskprune.checkpoint import load_checkpoint, save_checkpoint
-from maskprune.config import ExperimentConfig
-from maskprune.data import Dataset, batches, synthetic_dataset
-from maskprune.errors import CheckpointError, ConfigError, NumericalError, ShapeError
+from maskprune.cli import main
+from maskprune.config import ExperimentConfig, config_text
+from maskprune.data import Dataset, batches, generate_digits, synthetic_dataset, write_idx
+from maskprune.errors import (
+    CheckpointError,
+    ConfigError,
+    ConvergenceError,
+    NumericalError,
+    ShapeError,
+)
 from maskprune.influence import (
     BINARY_CUTOFF,
     ChannelScorer,
@@ -27,6 +34,7 @@ from maskprune.trainer import (
     StrategyMonitor,
     Trainer,
     anchor_center,
+    load_datasets,
     run_pipeline,
     score_strategy,
     strategy_step,
@@ -95,8 +103,7 @@ def planted_setup(seed=0, n=10, k_drop=4):
         scale = 0.05 if target[i] == 0 else 1.0
         vals[i] = np.abs(rng.normal(2.0 * scale, 0.3 * scale, size=slab))
     scorer = ChannelScorer(slab)
-    state = StrategyState("planted", np.full(n, 0.5), np.ones(n, dtype=np.int64),
-                          target)
+    state = StrategyState("planted", np.full(n, 0.5), target=target)
     return vals, scorer, state
 
 
@@ -173,7 +180,6 @@ class TestStrategyStep:
                 score_strategy(scorer, state, schedule.value(), vals)
                 strategy_step(scorer, state, schedule, vals, extra_grad_soft=np.full(10, 0.3))
             state.soft = (np.arange(10) % 3 != 0).astype(np.float64)
-            state.hard = binarize(state.soft)
             for _ in range(3):
                 strategy_step(scorer, state, schedule, vals, extra_grad_soft=extra)
             runs.append([scorer.kernel.data, scorer.bias.data, scorer.kernel.velocity,
@@ -186,8 +192,7 @@ class TestStrategyStep:
 class TestStrategyMonitor:
     def _state(self, soft):
         soft = np.asarray(soft, dtype=np.float64)
-        return StrategyState("m", soft, binarize(soft), np.array([1, 0]),
-                             history_cap=3)
+        return StrategyState("m", soft, target=np.array([1, 0]))
 
     def test_converged_after_window_binary_snapshots(self):
         state = self._state([1.0 - 1e-9, 1e-9])
@@ -228,6 +233,82 @@ class TestStrategyMonitor:
         crossed = self._state([1 - 8e-4, 1e-9])
         results = [monitor.observe(crossed, schedule) for _ in range(3)]
         assert results == [False, False, True]
+
+    def observed(self, softs, target, window=3, delta_bin=0.01):
+        """What a fresh monitor answers for each soft vector in turn."""
+        monitor = StrategyMonitor(window=window, delta_bin=delta_bin)
+        schedule = SharpnessSchedule(1.0, 2.0, 1000)
+        state = StrategyState("m", np.asarray(softs[0], dtype=np.float64),
+                              target=np.asarray(target))
+        out = []
+        for soft in softs:
+            state.soft = np.asarray(soft, dtype=np.float64)
+            out.append(monitor.observe(state, schedule))
+        return out
+
+    def test_a_soft_entry_blocks_the_window(self):
+        assert self.observed([[0.999, 0.2]] * 5, target=[1, 1]) == [False] * 5
+
+    def test_a_pattern_flip_restarts_the_window(self):
+        # the keep pattern is read at the binarization cutoff, so the flip has
+        # to cross it to count as instability
+        a, b = [0.999, 1e-9], [1e-9, 0.999]
+        assert self.observed([a, b, a, a, a], target=[1, 0]) == [False] * 4 + [True]
+
+    def test_a_soft_snapshot_restarts_the_window(self):
+        a, soft = [0.999, 1e-9], [0.999, 0.2]
+        assert self.observed([a, a, soft, a, a, a], target=[1, 0]) == [False] * 5 + [True]
+
+    def test_delta_bin_boundary(self):
+        edge = [0.9901, 0.0099]   # just inside delta_bin, binarizes as kept
+        assert self.observed([edge] * 3, target=[1, 1]) == [False, False, True]
+        over = [0.989, 0.011]
+        assert self.observed([over] * 3, target=[1, 1]) == [False] * 3
+
+    def test_a_target_refresh_mid_window_keeps_the_window_seen(self):
+        """The window counts snapshots, not targets: a pattern settled for two
+        snapshots meets a refreshed target on the third."""
+        monitor = StrategyMonitor(window=3)
+        schedule = SharpnessSchedule(1.0, 2.0, 1000)
+        state = StrategyState("m", np.array([1 - 1e-9, 1e-9]), target=np.array([0, 1]))
+        assert not monitor.observe(state, schedule)
+        assert not monitor.observe(state, schedule)
+        state.target = np.array([1, 0])
+        assert monitor.observe(state, schedule)
+
+    def test_matches_the_window_rule_over_random_snapshots(self):
+        """Settled means: the last ``window`` snapshots are within delta_bin of
+        0 or 1 and share one hard pattern, and that pattern is the target."""
+
+        def window_rule(history, target, window, delta_bin):
+            recent = history[-window:]
+            return (len(history) >= window
+                    and all(np.minimum(s, 1 - s).max() <= delta_bin for s in recent)
+                    and all(np.array_equal(binarize(s), binarize(recent[0])) for s in recent)
+                    and np.array_equal(binarize(recent[-1]), target))
+
+        rng = np.random.default_rng(0)
+        levels = np.array([1e-9, 5e-3, 0.2, 0.8, 1 - 5e-3, 1 - 1e-9])
+        settled = 0
+        for window in (1, 2, 3, 4):
+            monitor = StrategyMonitor(window=window, delta_bin=0.01)
+            schedule = SharpnessSchedule(1.0, 2.0, 1000)
+            state = StrategyState("m", np.full(3, 0.5), target=np.array([1, 0, 1]))
+            history = []
+            for _ in range(400):
+                # mostly-binary snapshots over few patterns, so windows do fill
+                state.soft = levels[rng.choice([0, 1, 4, 5], size=3)]
+                if rng.random() < 0.2:
+                    state.soft[rng.integers(3)] = levels[rng.integers(2, 4)]
+                if rng.random() < 0.5:
+                    state.soft = history[-1].copy() if history else state.soft
+                if rng.random() < 0.1:
+                    state.target = rng.integers(0, 2, size=3)
+                history.append(state.soft.copy())
+                want = window_rule(history, state.target, window, 0.01)
+                assert monitor.observe(state, schedule) == want
+                settled += want
+        assert settled > 20
 
 
 def quick_config(tmp_path, **over):
@@ -310,9 +391,8 @@ class TestTargetRefresh:
         # drift: channels 6 and 7 are now the weakest
         drifted = np.array([5.0, 6.0, 7.0, 8.0, 3.0, 4.0, 1.0, 2.0])
         trainer.maps[name] = InfluenceMap(name, drifted.reshape(8, 1, 1, 1), 1)
-        trainer.strategies[name] = StrategyState(
-            name, np.full(8, 0.5), np.ones(8, dtype=np.int64),
-            trainer.plan.targets[name])
+        trainer.strategies[name] = StrategyState(name, np.full(8, 0.5),
+                                                 target=trainer.plan.targets[name])
         trainer._refresh_target(name)
         new = trainer.strategies[name].target
         assert int((new == 0).sum()) == 2
@@ -325,9 +405,8 @@ class TestTargetRefresh:
         trainer.plan = build_plan({name: np.arange(8.0)}, rate=0.25)
         tied = np.full(8, 2.0)
         trainer.maps[name] = InfluenceMap(name, tied.reshape(8, 1, 1, 1), 1)
-        trainer.strategies[name] = StrategyState(
-            name, np.full(8, 0.5), np.ones(8, dtype=np.int64),
-            trainer.plan.targets[name])
+        trainer.strategies[name] = StrategyState(name, np.full(8, 0.5),
+                                                 target=trainer.plan.targets[name])
         trainer._refresh_target(name)
         assert_allclose(trainer.strategies[name].target, [0, 0, 1, 1, 1, 1, 1, 1])
 
@@ -507,7 +586,7 @@ class TestStateFormat:
 
 
 class TestNonFiniteGuard:
-    @pytest.mark.parametrize("until,stage", [(None, "baseline"),
+    @pytest.mark.parametrize("until,stage", [(None, "baseline"), ("baseline", "measure"),
                                              ("measure", "prune:conv1")])
     def test_nan_weight_stops_before_any_update(self, tmp_path, until, stage):
         cfg = quick_config(tmp_path, rate=0.25)
@@ -521,6 +600,10 @@ class TestNonFiniteGuard:
         with pytest.raises(NumericalError) as err:
             trainer.run()
         assert f"stage {stage}, epoch {epoch}, step 0" in str(err.value)
+        # the failing stage writes no checkpoint: a measure pass that fails
+        # builds no plan
+        assert not (Path(cfg.out_dir) / f"checkpoint-{stage.replace(':', '-')}.ckpt").exists()
+        assert stage != "measure" or (trainer.plan is None and trainer.maps == {})
         after = trainer.model.state_arrays()
         for k, v in before.items():
             # gates take the soft keep vector before the forward pass; the
@@ -572,9 +655,9 @@ class TestNarrowedTraining:
             for name, ref in t.prunable.items():
                 w = ref.layer.out_channels
                 t.strategies[name] = StrategyState(name, np.full(w, 0.5),
-                                                   np.ones(w, dtype=np.int64),
-                                                   np.ones(w, dtype=np.int64))
-            t.strategies[frozen].hard, t.strategies[frozen].status = keep, "frozen"
+                                                   target=np.ones(w, dtype=np.int64))
+            t.strategies[frozen].soft = keep.astype(np.float64)
+            t.strategies[frozen].status = "frozen"
             t.strategies[active].target[: full[0] // 3] = 0
             t.prunable[frozen].layer.gate[:] = keep
             t.maps[active] = InfluenceMap(active, infl.copy(), 8)
@@ -699,3 +782,117 @@ class TestNarrowedCheckpoints:
         assert all(a is b for a, b in zip(fresh.model.blocks, blocks))
         assert fresh.prunable["conv1"].layer is blocks[0].conv
         assert fresh.completed == [] and fresh._in_cols == {}
+
+
+def with_retired_state(path, out, rng, **config):
+    """``path``'s state plus what earlier versions also wrote: every
+    strategy's hard pattern, a scorer per started layer, every sigmoid centre,
+    the model's input shape and classes, and ``config`` in the stored config."""
+    meta, arrays = load_checkpoint(path)
+    old = dict(arrays)
+    for key, soft in arrays.items():
+        if key.startswith("strategy.") and key.endswith(".soft"):
+            name = key[len("strategy."):-len(".soft")]
+            old[f"strategy.{name}.hard"] = binarize(soft)
+            if meta["strategy_meta"][name]["status"] != "pending":
+                slab = arrays[f"map.{name}.values"].shape[1:]
+                old[f"scorer.{name}.kernel"] = rng.normal(size=slab)
+                old[f"scorer.{name}.bias"] = rng.normal(size=1)
+            meta["strategy_meta"][name]["center"] = float(rng.normal())
+    meta.update(input_shape=[1, 28, 28], classes=10)
+    meta["config"].update(config)
+    return save_checkpoint(out, meta, old)
+
+
+class TestRetiredState:
+    def test_a_state_holds_only_what_a_load_reads(self, narrowed_run):
+        cfg = narrowed_run[0]
+        meta, arrays = load_checkpoint(Path(cfg.out_dir) / "checkpoint-prune-conv2.ckpt")
+        assert not [k for k in arrays if k.endswith(".hard") or k.startswith("scorer.")]
+        assert {k for k in arrays if k.startswith("strategy.")} == {
+            f"strategy.conv{i}.{part}" for i in (1, 2, 3, 4) for part in ("soft", "target")}
+        assert "input_shape" not in meta and "classes" not in meta
+        assert all(set(m) == {"status"} for m in meta["strategy_meta"].values())
+        assert set(meta["config"]) == set(cfg.to_dict())
+
+    @pytest.mark.parametrize("stage", ["measure", "prune-conv1", "prune-conv3"])
+    def test_a_state_with_retired_arrays_and_meta_resumes_the_same(self, narrowed_run,
+                                                                   tmp_path, stage):
+        """States written before the hard patterns, scorers, centres and the
+        two data limits went still resume to the straight run's report and
+        final arrays."""
+        cfg, report, _, _ = narrowed_run
+        _, final = load_checkpoint(Path(cfg.out_dir) / "checkpoint-final.ckpt")
+        old = with_retired_state(Path(cfg.out_dir) / f"checkpoint-{stage}.ckpt",
+                                 tmp_path / "old.ckpt", np.random.default_rng(0),
+                                 train_limit=0, test_limit=0)
+        resumed_cfg = narrowed_config(tmp_path)
+        resumed, _ = run_pipeline(resumed_cfg, resume_from=old)
+        assert resumed.comparable() == report.comparable()
+        _, arrays = load_checkpoint(Path(resumed_cfg.out_dir) / "checkpoint-final.ckpt")
+        assert_same_arrays(arrays, final)
+
+    def test_a_state_that_set_a_data_limit_is_refused(self, narrowed_run, tmp_path):
+        cfg = narrowed_run[0]
+        old = with_retired_state(Path(cfg.out_dir) / "checkpoint-measure.ckpt",
+                                 tmp_path / "old.ckpt", np.random.default_rng(0),
+                                 train_limit=128, test_limit=0)
+        fresh = make_trainer(cfg)
+        with pytest.raises(ConfigError, match=r"unknown configuration key\(s\): train_limit$"):
+            fresh.load(old)
+        assert fresh.completed == [] and fresh.strategies == {}
+
+
+class TestConvergenceFailure:
+    """At rate 0.25 the quick config runs conv2 out of its 4 prune epochs."""
+
+    def test_run_pipeline_raises_with_the_soft_vector(self, tmp_path):
+        cfg = quick_config(tmp_path, rate=0.25)
+        with pytest.raises(ConvergenceError, match="layer conv2 did not reach a stable "
+                                                   "binary strategy within 4 epochs") as err:
+            run_pipeline(cfg)
+        soft = err.value.soft_keep
+        assert soft.shape == (16,) and np.all((soft >= 0) & (soft <= 1))
+        assert (Path(cfg.out_dir) / "checkpoint-prune-conv1.ckpt").exists()
+        assert not (Path(cfg.out_dir) / "checkpoint-prune-conv2.ckpt").exists()
+
+    def test_finetune_command_exits_2(self, tmp_path, capsys):
+        cfg = quick_config(tmp_path, rate=0.25)
+        path = tmp_path / "quick.cfg"
+        path.write_text(config_text(cfg))
+        assert main(["finetune", "--config", str(path)]) == 2
+        assert ("runtime failure: layer conv2 did not reach a stable binary strategy "
+                "within 4 epochs") in capsys.readouterr().err
+        assert not (Path(cfg.out_dir) / "report.json").exists()
+
+
+class TestLoadDatasets:
+    def test_cifar10_reads_comma_separated_files(self, tmp_path):
+        from tests.test_data import write_cifar_batch
+
+        paths = [tmp_path / f"batch{i}.bin" for i in range(3)]
+        labels = [write_cifar_batch(p, n, seed=i)[0]
+                  for i, (p, n) in enumerate(zip(paths, (3, 4, 2)))]
+        cfg = ExperimentConfig(dataset="cifar10", train_files=f"{paths[0]}, {paths[1]},",
+                               test_files=str(paths[2]), batch_size=4)
+        train, test = load_datasets(cfg)
+        assert (train.name, len(train), len(test)) == ("cifar10", 7, 2)
+        assert train.images.shape[1:] == (3, 32, 32)
+        assert train.labels.tolist() == labels[0].tolist() + labels[1].tolist()
+        assert test.labels.tolist() == labels[2].tolist()
+
+    def test_mnist_reads_idx_files(self, tmp_path):
+        splits = {}
+        for split, n in (("train", 12), ("test", 5)):
+            images, labels = generate_digits(n, seed=n)
+            splits[split] = labels, write_idx(images, labels, tmp_path / f"{split}-im.idx",
+                                              tmp_path / f"{split}-lb.idx")
+        cfg = ExperimentConfig(
+            dataset="mnist", batch_size=4,
+            train_images=str(splits["train"][1][0]), train_labels=str(splits["train"][1][1]),
+            test_images=str(splits["test"][1][0]), test_labels=str(splits["test"][1][1]))
+        train, test = load_datasets(cfg)
+        assert (train.name, len(train), len(test)) == ("mnist", 12, 5)
+        assert train.images.shape[1:] == (1, 28, 28)
+        assert train.labels.tolist() == splits["train"][0].tolist()
+        assert test.labels.tolist() == splits["test"][0].tolist()
