@@ -156,8 +156,10 @@ class ChannelScorer:
 def scaled_sigmoid(sharpness: float, scores: np.ndarray, center: float) -> np.ndarray:
     """Soft keep probabilities: 1 / (1 + exp(-sharpness * (s - center))).
 
-    The exponent is clipped so extreme scores saturate without overflow while
-    staying strictly inside (0, 1).
+    The exponent is clipped to +-50 so extreme scores saturate without
+    overflow.  Values lie in (0, 1]: at -50 the result is about 2e-22, still
+    above 0, but at +50 exp(-50) is below half the float64 spacing at 1, so
+    ``1 + exp(-50)`` rounds to 1 and the result is exactly 1.0.
     """
     if sharpness <= 0:
         raise ShapeError(f"sigmoid sharpness must be positive, got {sharpness}")
@@ -197,7 +199,7 @@ class StrategyState:
     """
 
     layer: str
-    soft: np.ndarray                  # soft keep probabilities, in (0, 1)
+    soft: np.ndarray                  # soft keep probabilities, in (0, 1] (see scaled_sigmoid)
     _: KW_ONLY
     target: np.ndarray                # target keep pattern from the global plan
     center: float = 0.0               # sigmoid center offset

@@ -296,8 +296,9 @@ class Trainer:
         """One optimization step; with an active layer the loss gains the
         weighted strategy term and the scorer trains jointly.
 
-        A non-finite classification loss raises :class:`NumericalError`
-        naming the stage, epoch and ``step`` before any gradient is applied.
+        A non-finite classification loss, or a non-finite parameter or gate
+        gradient after the backward, raises :class:`NumericalError` naming the
+        stage, epoch and ``step`` before any gradient is applied.
         """
         cfg = self.cfg
         if active is not None:
@@ -308,8 +309,13 @@ class Trainer:
             layer.gate[:] = state.soft
         logits = self.model.forward(x, train=True)
         loss_cls, grad = softmax_cross_entropy(logits, y)
-        self._check_loss(loss_cls, step)
+        self._check_finite(f"loss {loss_cls}", math.isfinite(loss_cls), step)
         self.model.backward(grad)
+        grads = [p.grad for p, _ in self.model.param_groups()]
+        if active is not None:
+            grads.append(layer.gate_grad)
+        self._check_finite(
+            "gradient", all(g is None or np.isfinite(g).all() for g in grads), step)
         if active is not None:
             self._influence.add(x.shape[0])
             weight, s_loss = strategy_step(
@@ -322,12 +328,13 @@ class Trainer:
         return StepMetrics(loss_cls + weight * s_loss, loss_cls, s_loss, weight,
                            self._schedule.value() if active else 0.0, kept)
 
-    def _check_loss(self, loss: float, step: int, stage: str | None = None) -> None:
-        """Raise :class:`NumericalError` naming the stage, epoch and ``step``
-        when ``loss`` is not finite."""
-        if not math.isfinite(loss):
+    def _check_finite(self, what: str, finite: bool, step: int,
+                      stage: str | None = None) -> None:
+        """Raise :class:`NumericalError` naming ``what``, the stage, epoch and
+        ``step`` unless ``finite``."""
+        if not finite:
             raise NumericalError(
-                f"non-finite loss {loss} in stage {stage or self.stage or '(none)'}, epoch "
+                f"non-finite {what} in stage {stage or self.stage or '(none)'}, epoch "
                 f"{self.global_epoch}, step {step}; no update was applied")
 
     def evaluate(self, model: Model | None = None) -> float:
@@ -365,7 +372,7 @@ class Trainer:
         for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
             logits = self.model.forward(x, train=True, update_stats=False)
             loss, grad = softmax_cross_entropy(logits, y)
-            self._check_loss(loss, i, "measure")
+            self._check_finite(f"loss {loss}", math.isfinite(loss), i, "measure")
             self.model.backward(grad)
             for acc in sums.values():
                 acc.add(x.shape[0])

@@ -787,14 +787,144 @@ class TestCompactedModel:
 
     @pytest.mark.parametrize("arch", list(ARCH_INPUTS))
     def test_carries_no_velocity_and_serves_the_gated_forward(self, arch):
-        """The eval path compacts on every hard-gated forward: that copy holds
-        no velocity, and its logits are the dense gated ones."""
+        """A hard-gated eval forward runs through a compacted copy: that copy
+        holds no velocity, and its logits are the dense gated ones."""
         model, x, keep = trained_hard_gated(arch, seed=2)
         assert any(k.endswith(".velocity") for k in model.state_arrays())
         small = model.compact(keep)
         assert [k for k in small.state_arrays() if k.endswith(".velocity")] == []
         assert all(p.velocity is None for p, _ in small.param_groups())
         assert_allclose(model.forward(x, train=False), dense_eval(model, x), rtol=0, atol=1e-5)
+
+
+def first_batch_norm(model) -> BatchNorm2d:
+    return next(layer for _, layer in model._named_layers() if isinstance(layer, BatchNorm2d))
+
+
+def _close_one(model, keep):
+    """Close one open channel of a prunable layer that keeps two or more."""
+    ref = next(r for r in model.prunable() if (r.layer.gate == 1.0).sum() > 1)
+    ref.layer.gate[np.flatnonzero(ref.layer.gate == 1.0)[0]] = 0.0
+
+
+def _open_one(model, keep):
+    ref = next(r for r in model.prunable() if (r.layer.gate == 0.0).any())
+    ref.layer.gate[np.flatnonzero(ref.layer.gate == 0.0)[0]] = 1.0
+
+
+def _load_other(model, keep):
+    """Another model's state under the same gates."""
+    other = EVAL_MODELS["mini-resnet"](9) if model.arch == "resnet-mini" else \
+        build_model(model.arch, *model.input_shape[:2], 10, seed=9)
+    other.forward(np.random.default_rng(9).standard_normal((3, *model.input_shape)))
+    frozen_strategies(other, keep)
+    model.load_state_arrays(other.state_arrays())
+
+
+def _narrow_first(model, keep):
+    name = model.prunable()[0].name
+    model.narrow({name: keep[name]})
+
+
+def _train_step(model, keep):
+    train_step(model, np.random.default_rng(8).standard_normal((3, *model.input_shape)))
+
+
+def _reassign_weight(model, keep):
+    weight = model.prunable()[-1].layer.weight
+    weight.data = weight.data * 1.5
+
+
+def _reassign_running_mean(model, keep):
+    bn = first_batch_norm(model)
+    bn.running_mean = bn.running_mean + 0.5
+
+
+#: what may change between two hard-gated eval forwards; each must be seen
+CHANGES = {"gate 1->0": _close_one, "gate 0->1": _open_one, "load_state_arrays": _load_other,
+           "narrow": _narrow_first, "train step": _train_step,
+           "weight.data = other": _reassign_weight,
+           "bn.running_mean = other": _reassign_running_mean}
+
+
+def gate_keep(model) -> dict[str, np.ndarray]:
+    return {ref.name: ref.layer.gate == 1.0 for ref in model.prunable()}
+
+
+class TestKeptCompaction:
+    """A hard-gated model compacts on its first eval forward and reuses that
+    copy until a gate, a state array or the block list changes."""
+
+    @staticmethod
+    def hard_gated(arch, seed=0):
+        model = EVAL_MODELS[arch](seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, *model.input_shape))
+        model.forward(x, train=True)          # non-default running statistics
+        keep = random_keep(model, rng)
+        frozen_strategies(model, keep)
+        return model, x, keep
+
+    @pytest.mark.parametrize("arch", ["tiny-cnn", "lenet", "mini-resnet"])
+    def test_unchanged_forwards_compact_once(self, arch):
+        model, x, keep = self.hard_gated(arch)
+        calls = spy_compact(model)
+        first = model.forward(x, train=False)
+        for _ in range(4):
+            assert np.array_equal(model.forward(x, train=False), first)
+        assert model.forward(x[:1], train=False).shape == (1, 10)
+        assert len(calls) == 1
+        assert np.array_equal(first, Model.compact(model, keep).forward(x, train=False))
+
+    @pytest.mark.parametrize("change", list(CHANGES))
+    @pytest.mark.parametrize("arch", ["tiny-cnn", "mini-resnet"])
+    def test_a_change_between_forwards_is_seen(self, arch, change):
+        model, x, keep = self.hard_gated(arch, seed=1)
+        calls = spy_compact(model)
+        first = model.forward(x, train=False)
+        CHANGES[change](model, keep)
+        second = model.forward(x, train=False)
+        assert len(calls) == 2
+        want = Model.compact(model, gate_keep(model)).forward(x, train=False)
+        assert np.array_equal(second, want)
+        # narrowing removes only closed channels, so the logits stay put
+        assert np.array_equal(second, first) == (change == "narrow")
+        assert np.array_equal(model.forward(x, train=False), second) and len(calls) == 2
+
+    @pytest.mark.parametrize("release", ["load_state_arrays", "sgd_step", "narrow"])
+    def test_an_in_place_write_raises_until_a_writer_drops_the_copy(self, release):
+        model, x, keep = self.hard_gated("tiny-cnn", seed=3)
+        model.forward(x, train=False)
+        weight, bn = model.blocks[-1].linear.weight, first_batch_norm(model)
+        state = {k: v.copy() for k, v in model.state_arrays().items()}
+        with pytest.raises(ValueError, match="read-only"):
+            weight.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            bn.running_var *= 2.0
+        assert np.array_equal(weight.data, state["fc.linear.weight"])
+        old = weight.data
+        if release == "load_state_arrays":
+            model.load_state_arrays(state)
+        elif release == "sgd_step":
+            train_step(model, x)
+        else:
+            model.narrow(keep)
+            assert old.flags.writeable        # the replaced arrays are released too
+            weight, bn = model.blocks[-1].linear.weight, first_batch_norm(model)
+        weight.data[0, 0] = 1.0
+        bn.running_var *= 2.0
+        got = model.forward(x, train=False)
+        want = Model.compact(model, gate_keep(model)).forward(x, train=False) \
+            if release != "narrow" else dense_eval(model, x)
+        assert np.array_equal(got, want)
+
+    def test_the_gates_stay_writable(self):
+        model, x, _ = self.hard_gated("tiny-cnn", seed=4)
+        model.forward(x, train=False)
+        gates = [ref.layer.gate for ref in model.prunable()]
+        assert all(g.flags.writeable for g in gates)
+        gates[0][:] = 0.5                    # soft: the next forward runs dense
+        assert np.array_equal(model.forward(x, train=False), dense_eval(model, x))
 
 
 class TestNarrow:

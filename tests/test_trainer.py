@@ -26,7 +26,7 @@ from maskprune.influence import (
     scaled_sigmoid,
 )
 from maskprune.metrics import count_flops
-from maskprune.models import build_model
+from maskprune.models import Model, build_model
 from maskprune.pruning import SharpnessSchedule, build_plan, lambda_value
 from maskprune.trainer import (
     STATE_FORMAT,
@@ -455,6 +455,24 @@ class TestPipelineSmall:
         trainer.run(until="baseline")
         assert trainer.evaluate() == trainer.evaluate()
 
+    def test_evaluate_compacts_a_hand_gated_model_once(self, tmp_path, monkeypatch):
+        """The ``eval`` path for a hard-gated model: one compaction serves
+        every batch of the test split."""
+        from tests.test_models import frozen_strategies, random_keep
+
+        cfg = quick_config(tmp_path, eval_batch=16)
+        trainer = make_trainer(cfg)
+        trainer.run(until="baseline")
+        keep = random_keep(trainer.model, np.random.default_rng(0))
+        frozen_strategies(trainer.model, keep)
+        calls = []
+        real = Model.compact
+        monkeypatch.setattr(Model, "compact", lambda m, k: calls.append(k) or real(m, k))
+        acc = trainer.evaluate()
+        assert len(calls) == 1 and cfg.synthetic_test > 2 * cfg.eval_batch
+        assert acc == trainer.evaluate(real(trainer.model, keep))
+        assert trainer.evaluate() == acc and len(calls) == 1
+
     def test_save_load_round_trip(self, tmp_path):
         cfg = quick_config(tmp_path)
         trainer = make_trainer(cfg)
@@ -610,6 +628,43 @@ class TestNonFiniteGuard:
             # running statistics are not weights
             if not k.endswith(("gate", "running_mean", "running_var")):
                 assert_allclose(after[k], v, rtol=0, atol=0, equal_nan=True)
+
+
+    @pytest.mark.parametrize("stage", ["baseline", "prune:conv1"])
+    def test_a_non_finite_gradient_stops_before_any_update(self, tmp_path, monkeypatch,
+                                                           stage):
+        """The loss stays finite: in the baseline the classifier sends NaN to
+        every layer below it; in a prune stage only the active gate's
+        gradient is NaN."""
+        cfg = quick_config(tmp_path, rate=0.25)
+        trainer = make_trainer(cfg)
+        if stage != "baseline":
+            trainer.run(until="measure")
+        epoch = trainer.global_epoch
+        if stage == "baseline":
+            block = trainer.model.blocks[-1]
+            real = block.backward
+            monkeypatch.setattr(block, "backward",
+                                lambda g, input_grad=True: real(g, input_grad) * np.nan)
+        else:
+            layer = trainer.prunable["conv1"].layer
+            real = layer.gate_backward
+
+            def nan_gate_grad(g):
+                out = real(g)
+                layer.gate_grad = layer.gate_grad * np.nan
+                return out
+            monkeypatch.setattr(layer, "gate_backward", nan_gate_grad)
+        before = {k: v.copy() for k, v in trainer.model.state_arrays().items()}
+        with pytest.raises(NumericalError, match=rf"non-finite gradient in stage {stage}, "
+                                                 rf"epoch {epoch}, step 0; no update was "
+                                                 rf"applied"):
+            trainer.run()
+        assert not (Path(cfg.out_dir) / f"checkpoint-{stage.replace(':', '-')}.ckpt").exists()
+        after = trainer.model.state_arrays()
+        for k, v in before.items():
+            if not k.endswith(("gate", "running_mean", "running_var")):
+                assert after[k].tobytes() == v.tobytes(), k
 
 
 #: per architecture, a prunable layer and the next one, which reads it (through
