@@ -29,11 +29,11 @@ _RANGES = {
     **dict.fromkeys(("rate", "momentum"), ("in [0, 1)", lambda v: 0.0 <= v < 1.0)),
     **dict.fromkeys(("anneal_start", "lr", "prune_lr", "finetune_lr"),
                     ("> 0", lambda v: v > 0)),
-    **dict.fromkeys(("weight_decay", "baseline_epochs", "prune_epochs", "finetune_epochs",
+    **dict.fromkeys(("weight_decay", "baseline_epochs", "finetune_epochs",
                      "synthetic_train", "synthetic_test", "crop_pad"),
                     (">= 0", lambda v: v >= 0)),
     **dict.fromkeys(("anneal_end_factor", "eval_batch", "log_every", "window",
-                     "max_prune_epochs"), (">= 1", lambda v: v >= 1)),
+                     "prune_epochs", "max_prune_epochs"), (">= 1", lambda v: v >= 1)),
 }
 
 

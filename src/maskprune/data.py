@@ -87,29 +87,30 @@ def load_cifar10(paths) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(all_images), np.concatenate(all_labels)
 
 
+def _read_idx(path, magic: int, dims: int) -> tuple[list[int], np.ndarray]:
+    """An IDX file's ``dims`` header counts and its uint8 payload."""
+    raw = Path(path).read_bytes()
+    header = 4 * (1 + dims)
+    if len(raw) < header:
+        raise DataError(f"{path}: truncated IDX header")
+    found, *counts = struct.unpack(f">{1 + dims}I", raw[:header])
+    if found != magic:
+        raise DataError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    return counts, np.frombuffer(raw, dtype=np.uint8, offset=header)
+
+
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Read an MNIST-style IDX image/label file pair."""
-    img_raw = Path(images_path).read_bytes()
-    if len(img_raw) < 16:
-        raise DataError(f"{images_path}: truncated IDX header")
-    magic, n, rows, cols = struct.unpack(">IIII", img_raw[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise DataError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}")
+    (n, rows, cols), body = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3)
     expected = n * rows * cols
-    body = np.frombuffer(img_raw, dtype=np.uint8, offset=16)
     if body.size != expected:
         raise DataError(
             f"{images_path}: payload has {body.size} bytes, header promises {expected}"
         )
     images = body.reshape(n, 1, rows, cols).astype(np.float64) / 255.0
 
-    lbl_raw = Path(labels_path).read_bytes()
-    if len(lbl_raw) < 8:
-        raise DataError(f"{labels_path}: truncated IDX header")
-    magic, n_lbl = struct.unpack(">II", lbl_raw[:8])
-    if magic != _IDX_LABELS_MAGIC:
-        raise DataError(f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}")
-    labels = np.frombuffer(lbl_raw, dtype=np.uint8, offset=8).astype(np.int64)
+    (n_lbl,), body = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1)
+    labels = body.astype(np.int64)
     if labels.size != n_lbl:
         raise DataError(f"{labels_path}: payload has {labels.size} labels, header promises {n_lbl}")
     if n != n_lbl:

@@ -10,18 +10,20 @@ pure functions of (seed, epoch/index), so a resumed run replays exactly.
 
 During a layer's prune stage its gates carry the soft keep probabilities, so
 classification gradients flow into the scorer while the sharpness anneal
-pushes the probabilities to 0/1 ("false pruning").  The scorer, the anneal
-schedule, the influence sum and the :class:`StrategyMonitor` counters belong
-to the stage and end with it; the monitor freezes the layer once its last
-``window`` snapshots are nearly binary with one hard pattern, the target.
-When the stage freezes the layer, or skips it with a channel closed, `Model.narrow` removes the closed
-channels from the trained model, along with the input columns that read them,
-so later stages train only open channels.  Strategies, targets and influence
-maps stay at full width; the active layer's influence is scattered back to it,
-with 0.0 in the input columns narrowing removed (their gradient was exactly 0,
-since they only ever multiplied zeros).  Unlike a full-width run, weight decay
-no longer shrinks those columns; they never reach the compacted model either
-way.  At the end every layer is narrowed, so the compacted model is a copy.
+pushes the probabilities to 0/1 ("false pruning").  The stage's one
+:class:`LayerAnneal` owns the layer, its influence sum, the scorer, the anneal
+schedule and the :class:`StrategyMonitor` counters; it is passed to each
+``train_step`` and dropped when the stage returns.  The monitor freezes the
+layer once its last ``window`` snapshots are nearly binary with one hard
+pattern, the target.  When the stage freezes the layer, or skips it with a
+channel closed, `Model.narrow` removes the closed channels from the trained
+model, along with the input columns that read them, so later stages train
+only open channels.  Strategies, targets and influence maps stay at full
+width; the active layer's influence is scattered back to it, with 0.0 in the
+input columns narrowing removed (their gradient was exactly 0, since they only
+ever multiplied zeros).  Unlike a full-width run, weight decay no longer
+shrinks those columns; they never reach the compacted model either way.  At
+the end every layer is narrowed, so the compacted model is a copy.
 
 A checkpoint records the trainer's :data:`STATE_FORMAT`, and a load refuses
 any other format before it reads anything else.  Format 2 holds the narrowed
@@ -125,9 +127,6 @@ class StepMetrics:
     loss_total: float
     loss_classification: float
     loss_strategy: float
-    strategy_weight: float
-    sharpness: float
-    kept: int
 
 
 def anchor_center(scores: np.ndarray, target: np.ndarray, sharpness: float,
@@ -167,9 +166,10 @@ def strategy_step(scorer: ChannelScorer, state: StrategyState, schedule: Sharpne
 
     ``state.soft`` must hold the keep vector at the schedule's current
     sharpness, as :func:`score_strategy` leaves it (a training step scores
-    once, before its forward pass, and the step reuses that).  Weights the strategy loss, folds in any gradient arriving from the
-    classification path (``extra_grad_soft``), updates the scorer, and
-    advances the anneal.  Returns ``(strategy_weight, strategy_loss)``.
+    once, before its forward pass, and the step reuses that).  Weights the
+    strategy loss, folds in any gradient arriving from the classification
+    path (``extra_grad_soft``), updates the scorer, and advances the anneal.
+    Returns ``(strategy_weight, strategy_loss)``.
     """
     sharp = schedule.value()
     soft = state.soft
@@ -233,6 +233,91 @@ class StrategyMonitor:
         return False
 
 
+class LayerAnneal:
+    """One layer's prune stage: its strategy and layer, a fresh influence sum
+    and scorer over the layer's map, an anneal over ``epochs`` epochs and the
+    snapshot monitor.  ``in_cols`` are the inputs narrowing left the layer
+    (None: all of them).  Building it recentres and scores the strategy."""
+
+    def __init__(self, state: StrategyState, layer, infl_map: InfluenceMap,
+                 cfg: ExperimentConfig, epochs: int, steps_per_epoch: int,
+                 in_cols: np.ndarray | None = None):
+        self.state = state
+        self.layer = layer
+        self.in_cols = in_cols
+        self.influence = InfluenceSum(layer)
+        self.schedule = SharpnessSchedule(cfg.anneal_start,
+                                          cfg.anneal_start * cfg.anneal_end_factor,
+                                          max(1, epochs * steps_per_epoch))
+        self.map_in = np.abs(infl_map.values)
+        self.scorer = ChannelScorer(self.map_in.shape[1:])
+        self.scorer.rescale_for_spread(self.map_in, SCORE_MARGIN)
+        self.scorer_lr = SCORER_LR
+        self.monitor = StrategyMonitor(cfg.window, cfg.delta_bin)
+        self.steps = 0
+        # snapshot a few times per epoch even when epochs are short, else the
+        # convergence window and the stall booster starve on small datasets
+        self.eval_every = max(1, min(STRATEGY_EVAL_EVERY, steps_per_epoch // 3))
+        self.settled = False
+        self.recenter()
+        score_strategy(self.scorer, state, self.schedule.value(), self.map_in)
+
+    def recenter(self) -> None:
+        """Re-anchor the sigmoid centre to the target (see :func:`anchor_center`)."""
+        self.state.center = anchor_center(self.scorer.score(self.map_in), self.state.target,
+                                          self.schedule.value(), self.monitor.delta_bin)
+
+    def gate(self) -> None:
+        """Score the strategy at the current sharpness into the layer's gates."""
+        score_strategy(self.scorer, self.state, self.schedule.value(), self.map_in)
+        self.layer.gate[:] = self.state.soft
+
+    def step(self, batch: int) -> tuple[float, float]:
+        """After the backward over ``batch`` examples: add the influence and
+        step the scorer with the gates' gradient (see :func:`strategy_step`)."""
+        self.influence.add(batch)
+        self.steps += 1
+        return strategy_step(self.scorer, self.state, self.schedule, self.map_in,
+                             extra_grad_soft=self.layer.gate_grad, lr=self.scorer_lr)
+
+    def observe(self) -> bool:
+        """At every ``eval_every``-th step, snapshot the strategy and recentre
+        unless it has settled; returns :attr:`settled`."""
+        if self.steps % self.eval_every == 0:
+            self.settled = self.monitor.observe(self.state, self.schedule)
+            if not self.settled:
+                self.recenter()
+        return self.settled
+
+    def capture(self) -> InfluenceMap:
+        """Drain the influence sum into a de-gated map at the layer's full
+        width.  Input columns that narrowing removed read 0.0: they only ever
+        multiplied zeros, so their gradient, and influence, was exactly 0."""
+        fresh = capture_influence(self.influence, self.state.layer, degate=True)
+        if self.in_cols is not None:
+            values = np.zeros((fresh.channels, self.in_cols.size, *fresh.values.shape[2:]))
+            values[:, self.in_cols] = fresh.values
+            fresh.values = values
+        return fresh
+
+    def refresh(self, running: InfluenceMap) -> InfluenceMap:
+        """Fold a fresh capture into ``running`` and return the merged map;
+        the scorer reads it from now on, and the target is re-ranked by it.
+
+        Influence drifts while the network retrains around the gates, so a
+        refreshed map held against the run-level threshold would let the
+        layer's removal budget dissolve or balloon.  Instead the target keeps
+        its removal count, the plan's, and drops the channels of least
+        influence, ties broken by channel index."""
+        merged = ema_merge(running, self.capture())
+        self.map_in = np.abs(merged.values)
+        infl = channel_influence(merged)
+        drop = int((self.state.target == 0).sum())
+        self.state.target = np.ones(infl.size, dtype=np.int64)
+        self.state.target[np.lexsort((np.arange(infl.size), infl))[:drop]] = 0
+        return merged
+
+
 def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if cfg.dataset == "synthetic":
         train, test = synthetic_dataset(cfg.synthetic_train, cfg.synthetic_test, cfg.seed)
@@ -291,42 +376,29 @@ class Trainer:
                 lr *= self.cfg.lr_decay
         return lr
 
-    def train_step(self, x: np.ndarray, y: np.ndarray, active: str | None,
+    def train_step(self, x: np.ndarray, y: np.ndarray, anneal: LayerAnneal | None,
                    lr: float, step: int = 0) -> StepMetrics:
-        """One optimization step; with an active layer the loss gains the
+        """One optimization step; with an ``anneal`` the loss gains its
         weighted strategy term and the scorer trains jointly.
 
         A non-finite classification loss, or a non-finite parameter or gate
         gradient after the backward, raises :class:`NumericalError` naming the
         stage, epoch and ``step`` before any gradient is applied.
         """
-        cfg = self.cfg
-        if active is not None:
-            state = self.strategies[active]
-            layer = self.prunable[active].layer
-            schedule = self._schedule
-            score_strategy(self._scorer, state, schedule.value(), self._map_in)
-            layer.gate[:] = state.soft
+        if anneal is not None:
+            anneal.gate()
         logits = self.model.forward(x, train=True)
         loss_cls, grad = softmax_cross_entropy(logits, y)
         self._check_finite(f"loss {loss_cls}", math.isfinite(loss_cls), step)
         self.model.backward(grad)
         grads = [p.grad for p, _ in self.model.param_groups()]
-        if active is not None:
-            grads.append(layer.gate_grad)
+        if anneal is not None:
+            grads.append(anneal.layer.gate_grad)
         self._check_finite(
             "gradient", all(g is None or np.isfinite(g).all() for g in grads), step)
-        if active is not None:
-            self._influence.add(x.shape[0])
-            weight, s_loss = strategy_step(
-                self._scorer, state, schedule, self._map_in,
-                extra_grad_soft=layer.gate_grad, lr=self._scorer_lr)
-        else:
-            weight, s_loss = 0.0, 0.0
-        sgd_step(self.model, lr, cfg.momentum, cfg.weight_decay)
-        kept = self.strategies[active].kept if active else -1
-        return StepMetrics(loss_cls + weight * s_loss, loss_cls, s_loss, weight,
-                           self._schedule.value() if active else 0.0, kept)
+        weight, s_loss = anneal.step(x.shape[0]) if anneal is not None else (0.0, 0.0)
+        sgd_step(self.model, lr, self.cfg.momentum, self.cfg.weight_decay)
+        return StepMetrics(loss_cls + weight * s_loss, loss_cls, s_loss)
 
     def _check_finite(self, what: str, finite: bool, step: int,
                       stage: str | None = None) -> None:
@@ -402,79 +474,21 @@ class Trainer:
         log.info("plan fixed: threshold %.6g, keeping %d of %d channels",
                  self.plan.threshold, self.plan.kept_channels, self.plan.total_channels)
 
-    def _refresh_target(self, name: str) -> None:
-        """Budget-preserving target refresh between anneal windows.
-
-        Influence magnitudes drift while the network retrains around the
-        gates, so comparing a refreshed map against the run-level threshold
-        would let a layer's removal budget dissolve or balloon.  Instead the
-        layer keeps the removal count the plan assigned it and re-selects
-        which channels to drop by current influence rank (ties broken by
-        channel index).
-        """
-        k0 = int((self.plan.targets[name] == 0).sum())
-        infl = channel_influence(self.maps[name])
-        target = np.ones(infl.size, dtype=np.int64)
-        if k0 > 0:
-            order = np.lexsort((np.arange(infl.size), infl))
-            target[order[:k0]] = 0
-        self.strategies[name].target = target
-
-    def _start_prune(self, name: str, epochs: int) -> None:
-        """Make ``name`` the active layer: a fresh influence sum for
-        ``train_step`` to feed, an anneal over ``epochs`` epochs and a fresh
-        scorer over the layer's map.  All of it lives for this stage only."""
-        cfg = self.cfg
-        self.strategies[name].status = "active"
-        self._influence = InfluenceSum(self.prunable[name].layer)
-        total = max(1, epochs * self.steps_per_epoch())
-        self._schedule = SharpnessSchedule(cfg.anneal_start,
-                                           cfg.anneal_start * cfg.anneal_end_factor, total)
-        self._map_in = np.abs(self.maps[name].values)
-        self._scorer = ChannelScorer(self._map_in.shape[1:])
-        self._scorer.rescale_for_spread(self._map_in, SCORE_MARGIN)
-        self._scorer_lr = SCORER_LR
-
-    def _captured_map(self, name: str) -> InfluenceMap:
-        """Drain the active layer's influence sum into a de-gated map at the
-        layer's full width.  Input columns that narrowing removed read 0.0:
-        they only ever multiplied zeros, so their gradient, and their
-        influence, was exactly 0."""
-        fresh = capture_influence(self._influence, name, degate=True)
-        cols = self._in_cols.get(name)
-        if cols is not None:
-            values = np.zeros(fresh.values.shape[:1] + cols.shape + fresh.values.shape[2:])
-            values[:, cols] = fresh.values
-            fresh.values = values
-        return fresh
-
-    def _narrow(self, keep: dict[str, np.ndarray]) -> None:
-        """Narrow the model over the open channels of ``keep``'s layers (see
-        :meth:`Model.narrow`); strategies, targets and maps stay at full
-        width."""
-        self._in_cols.update(self.model.narrow(keep))
-
     def _close(self, name: str, status: str) -> None:
         """End ``name``'s prune stage with ``status``: its gate takes the hard
         pattern, and the model is narrowed over the open channels."""
         state = self.strategies[name]
         self.prunable[name].layer.gate[:] = state.hard
         state.status = status
-        self._narrow({name: state.hard.astype(bool)})
+        self._in_cols.update(self.model.narrow({name: state.hard.astype(bool)}))
 
     def _stage_prune(self, phase: Phase) -> None:
         cfg = self.cfg
         name = phase.layer
         state = self.strategies[name]
-        self._start_prune(name, phase.epochs)
-        scorer = self._scorer
-
-        def recenter():
-            state.center = anchor_center(scorer.score(self._map_in), state.target,
-                                         self._schedule.value(), cfg.delta_bin)
-
-        recenter()
-        score_strategy(scorer, state, self._schedule.value(), self._map_in)
+        state.status = "active"
+        anneal = LayerAnneal(state, self.prunable[name].layer, self.maps[name], cfg,
+                             phase.epochs, self.steps_per_epoch(), self._in_cols.get(name))
         if state.softness <= cfg.delta_bin and np.array_equal(state.hard, state.target):
             # already binary and on target at the current sharpness: nothing
             # to anneal (typical for an all-keep target)
@@ -482,41 +496,27 @@ class Trainer:
             log.info("prune %s: target already satisfied, skipping", name)
             return
 
-        monitor = StrategyMonitor(cfg.window, cfg.delta_bin)
-        converged = False
-        step_count = 0
-        # snapshot a few times per epoch even when epochs are short, else the
-        # convergence window and the stall booster starve on small datasets
-        eval_every = max(1, min(STRATEGY_EVAL_EVERY, self.steps_per_epoch() // 3))
         for epoch_i in range(cfg.max_prune_epochs):
             for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
-                m = self.train_step(x, y, name, cfg.prune_lr, step=i)
-                step_count += 1
-                if step_count % eval_every == 0:
-                    if monitor.observe(state, self._schedule):
-                        converged = True
-                        break
-                    recenter()
+                m = self.train_step(x, y, anneal, cfg.prune_lr, step=i)
+                if anneal.observe():
+                    break
             self.global_epoch += 1
-            if converged:
+            if anneal.settled:
                 break
-            if epoch_i < cfg.prune_epochs - 1 and self._influence.samples > 0:
+            if epoch_i < cfg.prune_epochs - 1 and anneal.influence.samples > 0:
                 # between scheduled anneal windows: fold a de-gated influence
-                # re-measurement into the running map and re-derive the target
-                # against the fixed global threshold.  Extension epochs past
-                # the schedule keep the target fixed so the strategy can
-                # settle instead of chasing measurement drift.
-                fresh = self._captured_map(name)
-                self.maps[name] = ema_merge(self.maps[name], fresh)
-                self._map_in = np.abs(self.maps[name].values)
-                self._refresh_target(name)
+                # re-measurement into the running map and re-rank the target.
+                # Extension epochs past the schedule keep the target fixed so
+                # the strategy can settle instead of chasing measurement drift.
+                self.maps[name] = anneal.refresh(self.maps[name])
             if epoch_i >= cfg.prune_epochs:
-                self._scorer_lr *= 0.5
-            recenter()
+                anneal.scorer_lr *= 0.5
+            anneal.recenter()
             log.info("prune %s epoch %d: kept %d/%d, sharpness %.4g, strategy loss %.4g",
                      name, epoch_i, state.kept, state.target.size,
-                     self._schedule.value(), m.loss_strategy)
-        if not converged:
+                     anneal.schedule.value(), m.loss_strategy)
+        if not anneal.settled:
             raise ConvergenceError(
                 f"layer {name} did not reach a stable binary strategy within "
                 f"{cfg.max_prune_epochs} epochs", soft_keep=state.soft.copy())
@@ -590,7 +590,6 @@ class Trainer:
             phase_seconds=dict(self.phase_seconds),
             seed=self.cfg.seed, config=self.cfg.to_dict())
         self.metrics["pruned_acc"] = pruned_acc
-        self.metrics["report"] = report.to_dict()
         self.compacted = compacted
         return report
 
@@ -608,7 +607,7 @@ class Trainer:
             "config": self.cfg.to_dict(),
             "completed": self.completed,
             "global_epoch": self.global_epoch,
-            "metrics": {k: v for k, v in self.metrics.items() if k != "report"},
+            "metrics": self.metrics,
             "phase_seconds": self.phase_seconds,
             "map_samples": {n: m.samples for n, m in self.maps.items()},
             "strategy_meta": {n: {"status": s.status} for n, s in self.strategies.items()},
@@ -647,7 +646,7 @@ class Trainer:
         blocks, in_cols = list(self.model.blocks), dict(self._in_cols)
         try:
             if closed:
-                self._narrow(closed)
+                self._in_cols.update(self.model.narrow(closed))
             self.model.load_state_arrays(arrays)
         except ShapeError:
             # a refused state leaves the model as it was
@@ -659,8 +658,7 @@ class Trainer:
         self.phase_seconds = dict(meta["phase_seconds"])
         self.maps, self.strategies = maps, strategies
         if meta.get("plan"):
-            targets = {n: self.strategies[n].target for n in self.prunable
-                       if n in self.strategies}
+            targets = {n: s.target for n, s in self.strategies.items()}
             self.plan = CompressionPlan(meta["plan"]["rate"], meta["plan"]["threshold"],
                                         targets)
 

@@ -86,7 +86,7 @@ class TestValidation:
             ExperimentConfig(anneal_end_factor=0.5).validate()
 
     @pytest.mark.parametrize("name", ["eval_batch", "log_every", "window",
-                                      "max_prune_epochs"])
+                                      "prune_epochs", "max_prune_epochs"])
     def test_counts_at_least_one(self, name):
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=rf"{name} must be >= 1, got {bad}"):

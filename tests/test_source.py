@@ -1,6 +1,6 @@
-"""Static checks on the package source: every imported name is read, no code
-switches on block type, the block classes share one interface, and every
-config field is read."""
+"""Static checks on the package source: no line is over 100 columns, every
+imported name is read, no code switches on block type, the block classes share
+one interface, and every config field is read."""
 
 import ast
 import dataclasses
@@ -57,6 +57,12 @@ def read_names(tree: ast.Module) -> set[str]:
 
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "models.py", "trainer.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_line_is_over_100_columns(path):
+    long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == [], f"{path.name}: lines over 100 columns"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

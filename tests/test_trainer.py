@@ -1,5 +1,7 @@
 """Pipeline orchestration: anchoring, joint strategy steps, stage plumbing."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from maskprune.models import Model, build_model
 from maskprune.pruning import SharpnessSchedule, build_plan, lambda_value
 from maskprune.trainer import (
     STATE_FORMAT,
+    LayerAnneal,
     Phase,
     StrategyMonitor,
     Trainer,
@@ -375,40 +378,62 @@ class TestPhases:
         assert "baseline" not in kinds and "finetune" not in kinds
         assert kinds[0] == "measure"
 
+    def test_zero_prune_epochs_is_refused_before_any_file(self, tmp_path):
+        cfg = ExperimentConfig(prune_epochs=0, out_dir=str(tmp_path / "run"))
+        with pytest.raises(ConfigError, match="prune_epochs must be >= 1, got 0"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "run").exists()
+
     def test_phase_requires_an_epoch(self):
         with pytest.raises(ConfigError):
             Phase("baseline", None, 0)
 
 
+def refreshed_target(trainer, running, target):
+    """conv1's target after a refresh whose fresh capture equals ``running``
+    (one value per channel), starting from ``target``."""
+    layer = trainer.prunable["conv1"].layer
+    values = np.broadcast_to(running.reshape(8, 1, 1, 1), layer.weight.shape).copy()
+    state = StrategyState("conv1", np.full(8, 0.5), target=target)
+    anneal = LayerAnneal(state, layer, InfluenceMap("conv1", values, 1), trainer.cfg, 1,
+                         trainer.steps_per_epoch())
+    anneal.influence.total[:] = values
+    anneal.influence.samples = 1
+    merged = anneal.refresh(InfluenceMap("conv1", values.copy(), 1))
+    assert merged.samples == 2 and anneal.influence.samples == 0
+    assert_allclose(merged.values, values, rtol=1e-15)
+    assert np.array_equal(anneal.map_in, np.abs(merged.values))
+    return state.target
+
+
 class TestTargetRefresh:
     def test_removal_budget_is_preserved(self, tmp_path):
-        cfg = quick_config(tmp_path)
-        trainer = make_trainer(cfg)
-        name = "conv1"
+        trainer = make_trainer(quick_config(tmp_path))
         start = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-        trainer.plan = build_plan({name: start}, rate=0.25)
-        assert_allclose(trainer.plan.targets[name], [0, 0, 1, 1, 1, 1, 1, 1])
+        plan = build_plan({"conv1": start}, rate=0.25)
+        assert_allclose(plan.targets["conv1"], [0, 0, 1, 1, 1, 1, 1, 1])
         # drift: channels 6 and 7 are now the weakest
         drifted = np.array([5.0, 6.0, 7.0, 8.0, 3.0, 4.0, 1.0, 2.0])
-        trainer.maps[name] = InfluenceMap(name, drifted.reshape(8, 1, 1, 1), 1)
-        trainer.strategies[name] = StrategyState(name, np.full(8, 0.5),
-                                                 target=trainer.plan.targets[name])
-        trainer._refresh_target(name)
-        new = trainer.strategies[name].target
+        new = refreshed_target(trainer, drifted, plan.targets["conv1"])
         assert int((new == 0).sum()) == 2
         assert_allclose(new, [1, 1, 1, 1, 1, 1, 0, 0])
+        assert_allclose(plan.targets["conv1"], [0, 0, 1, 1, 1, 1, 1, 1])
 
     def test_ties_drop_lower_index_first(self, tmp_path):
-        cfg = quick_config(tmp_path)
-        trainer = make_trainer(cfg)
-        name = "conv1"
-        trainer.plan = build_plan({name: np.arange(8.0)}, rate=0.25)
-        tied = np.full(8, 2.0)
-        trainer.maps[name] = InfluenceMap(name, tied.reshape(8, 1, 1, 1), 1)
-        trainer.strategies[name] = StrategyState(name, np.full(8, 0.5),
-                                                 target=trainer.plan.targets[name])
-        trainer._refresh_target(name)
-        assert_allclose(trainer.strategies[name].target, [0, 0, 1, 1, 1, 1, 1, 1])
+        trainer = make_trainer(quick_config(tmp_path))
+        plan = build_plan({"conv1": np.arange(8.0)}, rate=0.25)
+        new = refreshed_target(trainer, np.full(8, 2.0), plan.targets["conv1"])
+        assert_allclose(new, [0, 0, 1, 1, 1, 1, 1, 1])
+
+    def test_the_count_is_the_current_targets(self, tmp_path):
+        # nothing reads the plan: the count comes from the target itself,
+        # including a target that drops nothing
+        trainer = make_trainer(quick_config(tmp_path))
+        drifted = np.array([5.0, 6.0, 7.0, 8.0, 3.0, 4.0, 1.0, 2.0])
+        assert_allclose(refreshed_target(trainer, drifted, np.array([0, 0, 0, 1, 1, 1, 1, 1])),
+                        [1, 1, 1, 1, 0, 1, 0, 0])
+        assert_allclose(refreshed_target(trainer, drifted, np.ones(8, dtype=np.int64)),
+                        np.ones(8))
 
 
 class TestPipelineSmall:
@@ -716,16 +741,16 @@ class TestNarrowedTraining:
             t.strategies[active].target[: full[0] // 3] = 0
             t.prunable[frozen].layer.gate[:] = keep
             t.maps[active] = InfluenceMap(active, infl.copy(), 8)
-        narrow._narrow({frozen: keep.astype(bool)})
+        cols = narrow.model.narrow({frozen: keep.astype(bool)}).get(active)
         assert narrow.prunable[frozen].layer.out_channels == keep.sum()
-        steps = []
-        for t in (dense, narrow):
-            t._start_prune(active, 1)
-            steps.append(t.train_step(x, y, active, t.cfg.prune_lr))
+        steps, maps = [], []
+        for t, in_cols in ((dense, None), (narrow, cols)):
+            anneal = LayerAnneal(t.strategies[active], t.prunable[active].layer, t.maps[active],
+                                 t.cfg, 1, t.steps_per_epoch(), in_cols)
+            steps.append(t.train_step(x, y, anneal, t.cfg.prune_lr))
+            maps.append(anneal.capture())
         assert abs(steps[0].loss_total - steps[1].loss_total) <= 1e-12
         assert abs(steps[0].loss_classification - steps[1].loss_classification) <= 1e-12
-        maps = [t._captured_map(active) for t in (dense, narrow)]
-        cols = narrow._in_cols.get(active)
         if arch == "resnet56":
             assert cols is None        # the next block reads the whole stream
         else:
@@ -736,7 +761,7 @@ class TestNarrowedTraining:
         assert maps[1].values.shape == full
         assert_allclose(maps[1].values, maps[0].values, rtol=0, atol=1e-12)
         # the dense model's open channels, sliced after its step
-        dense._narrow({frozen: keep.astype(bool)})
+        dense.model.narrow({frozen: keep.astype(bool)})
         got, want = narrow.model.state_arrays(), dense.model.state_arrays()
         assert got.keys() == want.keys()
         assert any(k.endswith(".velocity") for k in got)
@@ -857,6 +882,34 @@ def with_retired_state(path, out, rng, **config):
     meta.update(input_shape=[1, 28, 28], classes=10)
     meta["config"].update(config)
     return save_checkpoint(out, meta, old)
+
+
+class TestStageLifetime:
+    def test_nothing_of_a_prune_stage_outlives_it(self, narrowed_run, tmp_path,
+                                                   monkeypatch):
+        """The layer conv4's stage trains is replaced when that stage narrows
+        it; once the run is over nothing holds it or the stage's anneal (its
+        influence sum, scorer, schedule and monitor), and the trainer keeps
+        no anneal attribute."""
+        built, build = [], LayerAnneal.__init__
+
+        def record(anneal, *args):
+            build(anneal, *args)
+            built.append(weakref.ref(anneal))
+        monkeypatch.setattr(LayerAnneal, "__init__", record)
+        cfg = narrowed_config(tmp_path)
+        trainer = make_trainer(cfg)
+        trainer.load(Path(narrowed_run[0].out_dir) / "checkpoint-prune-conv3.ckpt")
+        stage_layer = weakref.ref(trainer.prunable["conv4"].layer)
+        trainer.run()
+        trainer.finish()
+        trainer.save(Path(cfg.out_dir) / "checkpoint-final.ckpt")
+        gc.collect()
+        assert trainer.prunable["conv4"].layer.out_channels < 32
+        assert stage_layer() is None
+        assert len(built) == 1 and built[0]() is None
+        assert not [a for a in ("_schedule", "_scorer", "_scorer_lr", "_influence", "_map_in")
+                    if hasattr(trainer, a)]
 
 
 class TestRetiredState:
