@@ -2,8 +2,9 @@
 
 One ``key = value`` assignment per line, ``#`` starts a comment.  Every key
 must be a known field of :class:`ExperimentConfig`; unknown keys are rejected
-by name so typos cannot silently fall back to defaults.  Values are parsed
-according to the field's declared type.  Settings with one value in use are
+by name so typos cannot silently fall back to defaults.  A value is parsed as
+its field's declared type: ``str`` as written, ``int``, ``float``, or ``bool``
+(``true/yes/1/on`` or ``false/no/0/off``).  Settings with one value in use are
 module constants where they are used, not fields.
 """
 
@@ -16,24 +17,15 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-#: default convergence window: snapshots a strategy must stay binary over
-DEFAULT_WINDOW = 3
-#: default distance from 0 or 1 within which a soft strategy entry is binary
-DEFAULT_DELTA_BIN = 0.01
-
 #: per numeric field, the range a valid value lies in: its wording and its test
 _RANGES = {
     "batch_size": (">= 2", lambda v: v >= 2),
-    "delta_bin": ("in (0, 0.5)", lambda v: 0.0 < v < 0.5),
-    "lr_decay": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    **dict.fromkeys(("rate", "momentum"), ("in [0, 1)", lambda v: 0.0 <= v < 1.0)),
-    **dict.fromkeys(("anneal_start", "lr", "prune_lr", "finetune_lr"),
-                    ("> 0", lambda v: v > 0)),
-    **dict.fromkeys(("weight_decay", "baseline_epochs", "finetune_epochs",
-                     "synthetic_train", "synthetic_test", "crop_pad"),
-                    (">= 0", lambda v: v >= 0)),
-    **dict.fromkeys(("anneal_end_factor", "eval_batch", "log_every", "window",
-                     "prune_epochs", "max_prune_epochs"), (">= 1", lambda v: v >= 1)),
+    "rate": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    **dict.fromkeys(("lr", "prune_lr", "finetune_lr"), ("> 0", lambda v: v > 0)),
+    **dict.fromkeys(("baseline_epochs", "finetune_epochs", "synthetic_train",
+                     "synthetic_test", "crop_pad"), (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("eval_batch", "log_every", "prune_epochs", "max_prune_epochs"),
+                    (">= 1", lambda v: v >= 1)),
 }
 
 
@@ -58,19 +50,9 @@ class ExperimentConfig:
 
     # compression
     rate: float = 0.4                   # fraction of channels to remove
-    delta_bin: float = DEFAULT_DELTA_BIN
-    window: int = DEFAULT_WINDOW
-
-    # sharpness anneal (one schedule for conv and fc layers)
-    anneal_start: float = 0.01
-    anneal_end_factor: float = 100.0
 
     # optimization
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    lr_decay: float = 0.1
-    lr_milestones: tuple = (0.5, 0.75)  # fractions of baseline epochs
+    lr: float = 0.1                     # baseline lr, see trainer.LR_MILESTONES
     baseline_epochs: int = 8
     prune_epochs: int = 2               # planned anneal length per layer
     max_prune_epochs: int = 12          # hard cap before reporting failure
@@ -86,17 +68,14 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             if f.name in _RANGES and not _RANGES[f.name][1](value):
                 raise ConfigError(f"{f.name} must be {_RANGES[f.name][0]}, got {value}")
         return self
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["lr_milestones"] = list(self.lr_milestones)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -104,8 +83,6 @@ class ExperimentConfig:
         unknown = sorted(set(d) - set(_FIELDS))
         if unknown:
             raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
-        if "lr_milestones" in d:
-            d["lr_milestones"] = tuple(d["lr_milestones"])
         return cls(**d).validate()
 
 
@@ -113,9 +90,8 @@ _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
-    f = _FIELDS[key]
-    ftype = f.type if isinstance(f.type, type) else {"str": str, "int": int, "float": float,
-                                                     "bool": bool, "tuple": tuple}[f.type]
+    # annotations are strings here (``from __future__ import annotations``)
+    ftype = {"str": str, "int": int, "float": float, "bool": bool}[_FIELDS[key].type]
     try:
         if ftype is bool:
             lowered = raw.lower()
@@ -128,8 +104,6 @@ def _parse_value(key: str, raw: str, line_no: int):
             return int(raw)
         if ftype is float:
             return float(raw)
-        if ftype is tuple:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
         return raw
     except ValueError:
         raise ConfigError(
@@ -160,9 +134,7 @@ def config_text(cfg: ExperimentConfig) -> str:
     lines = []
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(repr(v) for v in value)
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):
             value = repr(value)

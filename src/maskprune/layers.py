@@ -535,7 +535,13 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad
 
 
-def sgd_step(module, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4) -> None:
+#: momentum and weight decay of the network's SGD steps
+SGD_MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
+
+
+def sgd_step(module, lr: float, momentum: float = SGD_MOMENTUM,
+             weight_decay: float = WEIGHT_DECAY) -> None:
     """One SGD-with-momentum update over every parameter of ``module``.
 
     ``module`` is anything exposing ``param_groups()`` yielding

@@ -14,7 +14,7 @@ pushes the probabilities to 0/1 ("false pruning").  The stage's one
 :class:`LayerAnneal` owns the layer, its influence sum, the scorer, the anneal
 schedule and the :class:`StrategyMonitor` counters; it is passed to each
 ``train_step`` and dropped when the stage returns.  The monitor freezes the
-layer once its last ``window`` snapshots are nearly binary with one hard
+layer once its last :data:`WINDOW` snapshots are nearly binary with one hard
 pattern, the target.  When the stage freezes the layer, or skips it with a
 channel closed, `Model.narrow` removes the closed channels from the trained
 model, along with the input columns that read them, so later stages train
@@ -31,6 +31,7 @@ arrays, the influence maps, and each layer's soft keep vector, target and
 status; a load narrows the fresh model from the hard patterns those soft
 vectors binarize to first.  States written while format 2 also held hard
 patterns, scorers and sigmoid centres load the same: nothing reads those.
+So do states whose config holds a :data:`RETIRED_KEYS` key at its value.
 Format 1, which carried no number, held every layer at full width.
 """
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import pruning
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import DEFAULT_DELTA_BIN, DEFAULT_WINDOW, ExperimentConfig, write_effective_config
+from .config import ExperimentConfig, write_effective_config
 from .data import Dataset, batches, cifar10_dataset, mnist_dataset, synthetic_dataset
 from .errors import CheckpointError, ConfigError, ConvergenceError, NumericalError, ShapeError
 from .influence import (
@@ -61,7 +62,7 @@ from .influence import (
     scaled_sigmoid,
     scorer_gradients,
 )
-from .layers import sgd_step, softmax_cross_entropy
+from .layers import SGD_MOMENTUM, WEIGHT_DECAY, sgd_step, softmax_cross_entropy
 from .metrics import RunReport, count_flops
 from .models import Model, build_model
 from .pruning import (
@@ -82,10 +83,6 @@ RUN_FIELDS = ("model", "dataset", "train_images", "train_labels", "test_images",
               "synthetic_test", "classes", "batch_size", "crop_pad", "flip", "rate",
               "seed")
 
-#: removed config keys that format-2 states written before their removal hold,
-#: at 0 (off); a load drops them there and refuses any other value as unknown
-LEGACY_ZERO_KEYS = ("train_limit", "test_limit")
-
 #: what a trainer checkpoint holds; 1 (no number stored) kept every layer at
 #: full width, 2 holds frozen and skipped layers narrowed
 STATE_FORMAT = 2
@@ -103,6 +100,29 @@ STRATEGY_EVAL_EVERY = 20
 
 #: snapshots with an unchanged, still-soft hard pattern before a stall boost
 STALL_PATIENCE = 3
+
+#: a strategy settles once its last WINDOW snapshots lie within DELTA_BIN of 0
+#: or 1 and share one hard pattern
+WINDOW = 3
+DELTA_BIN = 0.01
+
+#: a prune stage anneals the sigmoid sharpness from ANNEAL_START to
+#: ANNEAL_START * ANNEAL_END_FACTOR over its planned epochs
+ANNEAL_START = 0.01
+ANNEAL_END_FACTOR = 100.0
+
+#: the baseline lr is multiplied by LR_DECAY at each of these fractions of the
+#: baseline epochs
+LR_DECAY = 0.1
+LR_MILESTONES = (0.5, 0.75)
+
+#: config keys removed since format 2, with the value each was fixed at as a
+#: checkpoint's JSON holds it; a load drops a stored key at that value and
+#: refuses any other as unknown
+RETIRED_KEYS = {"train_limit": 0, "test_limit": 0, "window": WINDOW, "delta_bin": DELTA_BIN,
+                "anneal_start": ANNEAL_START, "anneal_end_factor": ANNEAL_END_FACTOR,
+                "momentum": SGD_MOMENTUM, "weight_decay": WEIGHT_DECAY, "lr_decay": LR_DECAY,
+                "lr_milestones": list(LR_MILESTONES)}
 
 
 @dataclass
@@ -130,7 +150,7 @@ class StepMetrics:
 
 
 def anchor_center(scores: np.ndarray, target: np.ndarray, sharpness: float,
-                  delta_bin: float = DEFAULT_DELTA_BIN) -> float:
+                  delta_bin: float = DELTA_BIN) -> float:
     """Place the sigmoid center so the score split lines up with the target.
 
     This is the global influence threshold carried into score space: with
@@ -188,7 +208,7 @@ class StrategyMonitor:
     """Snapshot bookkeeping for one prune stage: the settle rule and the stall
     booster."""
 
-    def __init__(self, window: int = DEFAULT_WINDOW, delta_bin: float = DEFAULT_DELTA_BIN,
+    def __init__(self, window: int = WINDOW, delta_bin: float = DELTA_BIN,
                  patience: int = STALL_PATIENCE):
         self.window = window
         self.delta_bin = delta_bin
@@ -239,21 +259,19 @@ class LayerAnneal:
     snapshot monitor.  ``in_cols`` are the inputs narrowing left the layer
     (None: all of them).  Building it recentres and scores the strategy."""
 
-    def __init__(self, state: StrategyState, layer, infl_map: InfluenceMap,
-                 cfg: ExperimentConfig, epochs: int, steps_per_epoch: int,
-                 in_cols: np.ndarray | None = None):
+    def __init__(self, state: StrategyState, layer, infl_map: InfluenceMap, epochs: int,
+                 steps_per_epoch: int, in_cols: np.ndarray | None = None):
         self.state = state
         self.layer = layer
         self.in_cols = in_cols
         self.influence = InfluenceSum(layer)
-        self.schedule = SharpnessSchedule(cfg.anneal_start,
-                                          cfg.anneal_start * cfg.anneal_end_factor,
+        self.schedule = SharpnessSchedule(ANNEAL_START, ANNEAL_START * ANNEAL_END_FACTOR,
                                           max(1, epochs * steps_per_epoch))
         self.map_in = np.abs(infl_map.values)
         self.scorer = ChannelScorer(self.map_in.shape[1:])
         self.scorer.rescale_for_spread(self.map_in, SCORE_MARGIN)
         self.scorer_lr = SCORER_LR
-        self.monitor = StrategyMonitor(cfg.window, cfg.delta_bin)
+        self.monitor = StrategyMonitor()
         self.steps = 0
         # snapshot a few times per epoch even when epochs are short, else the
         # convergence window and the stall booster starve on small datasets
@@ -302,7 +320,8 @@ class LayerAnneal:
 
     def refresh(self, running: InfluenceMap) -> InfluenceMap:
         """Fold a fresh capture into ``running`` and return the merged map;
-        the scorer reads it from now on, and the target is re-ranked by it.
+        the scorer reads it from now on, and the target is re-ranked by it in
+        place, so the plan, which shares the target array, follows.
 
         Influence drifts while the network retrains around the gates, so a
         refreshed map held against the run-level threshold would let the
@@ -313,7 +332,7 @@ class LayerAnneal:
         self.map_in = np.abs(merged.values)
         infl = channel_influence(merged)
         drop = int((self.state.target == 0).sum())
-        self.state.target = np.ones(infl.size, dtype=np.int64)
+        self.state.target[:] = 1
         self.state.target[np.lexsort((np.arange(infl.size), infl))[:drop]] = 0
         return merged
 
@@ -371,9 +390,9 @@ class Trainer:
 
     def _baseline_lr(self, epoch_in_phase: int) -> float:
         lr = self.cfg.lr
-        for frac in self.cfg.lr_milestones:
+        for frac in LR_MILESTONES:
             if epoch_in_phase >= int(frac * self.cfg.baseline_epochs):
-                lr *= self.cfg.lr_decay
+                lr *= LR_DECAY
         return lr
 
     def train_step(self, x: np.ndarray, y: np.ndarray, anneal: LayerAnneal | None,
@@ -397,7 +416,7 @@ class Trainer:
         self._check_finite(
             "gradient", all(g is None or np.isfinite(g).all() for g in grads), step)
         weight, s_loss = anneal.step(x.shape[0]) if anneal is not None else (0.0, 0.0)
-        sgd_step(self.model, lr, self.cfg.momentum, self.cfg.weight_decay)
+        sgd_step(self.model, lr)
         return StepMetrics(loss_cls + weight * s_loss, loss_cls, s_loss)
 
     def _check_finite(self, what: str, finite: bool, step: int,
@@ -487,9 +506,9 @@ class Trainer:
         name = phase.layer
         state = self.strategies[name]
         state.status = "active"
-        anneal = LayerAnneal(state, self.prunable[name].layer, self.maps[name], cfg,
-                             phase.epochs, self.steps_per_epoch(), self._in_cols.get(name))
-        if state.softness <= cfg.delta_bin and np.array_equal(state.hard, state.target):
+        anneal = LayerAnneal(state, self.prunable[name].layer, self.maps[name], phase.epochs,
+                             self.steps_per_epoch(), self._in_cols.get(name))
+        if state.softness <= DELTA_BIN and np.array_equal(state.hard, state.target):
             # already binary and on target at the current sharpness: nothing
             # to anneal (typical for an all-keep target)
             self._close(name, "skipped")
@@ -623,7 +642,7 @@ class Trainer:
             raise CheckpointError(f"checkpoint {path} holds trainer state format {found!r}; "
                                   f"this version reads format {STATE_FORMAT} only")
         stored = ExperimentConfig.from_dict({k: v for k, v in meta["config"].items()
-                                             if not (k in LEGACY_ZERO_KEYS and v == 0)})
+                                             if k not in RETIRED_KEYS or v != RETIRED_KEYS[k]})
         diffs = [f"{f}: checkpoint {getattr(stored, f)!r}, config {getattr(self.cfg, f)!r}"
                  for f in RUN_FIELDS if getattr(stored, f) != getattr(self.cfg, f)]
         if diffs:

@@ -213,12 +213,14 @@ class TestConfigRefusals:
         ({"synthetic_test": 0}, "test split is empty"),
         ({"synthetic_train": 16}, "train split holds 16 images, fewer than one batch"),
         ({"lr": "nan"}, "lr must be finite, got nan"),
-        ({"anneal_end_factor": "inf"}, "anneal_end_factor must be finite, got inf"),
-        ({"lr_milestones": "0.5, nan"}, "lr_milestones must be finite, got (0.5, nan)"),
+        # settings fixed in code: refused as unknown on the line after the
+        # quick config's 13 keys
+        ({"anneal_end_factor": "inf"}, "line 14: unknown configuration key 'anneal_end_factor'"),
+        ({"lr_milestones": "0.5, nan"}, "line 14: unknown configuration key 'lr_milestones'"),
         ({"prune_lr": "-1"}, "prune_lr must be > 0, got -1.0"),
-        ({"momentum": "1"}, "momentum must be in [0, 1), got 1.0"),
-        ({"weight_decay": "-1"}, "weight_decay must be >= 0, got -1.0"),
-        ({"lr_decay": "0"}, "lr_decay must be in (0, 1], got 0.0"),
+        ({"momentum": "1"}, "line 14: unknown configuration key 'momentum'"),
+        ({"weight_decay": "-1"}, "line 14: unknown configuration key 'weight_decay'"),
+        ({"lr_decay": "0"}, "line 14: unknown configuration key 'lr_decay'"),
     ], ids=["log_every", "eval_batch", "empty-test", "train-below-batch", "lr-nan",
             "anneal-inf", "milestone-nan", "prune-lr-negative", "momentum-one",
             "weight-decay-negative", "lr-decay-zero"])

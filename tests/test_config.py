@@ -16,7 +16,10 @@ REMOVED_KEYS = {"influence_mode": "absolute", "scorer_input": "absolute",
                 "strategy_weight_scale": 5.0, "anneal_start_fc": 0.01,
                 "anneal_end_factor_fc": 100.0, "ema_decay": 0.9, "score_margin": 14.0,
                 "stall_boost": 2.0, "stall_patience": 3, "strategy_eval_every": 20,
-                "scorer_lr": 0.05, "scorer_momentum": 0.9, "train_limit": 0, "test_limit": 0}
+                "scorer_lr": 0.05, "scorer_momentum": 0.9, "train_limit": 0, "test_limit": 0,
+                "delta_bin": 0.01, "window": 3, "anneal_start": 0.01,
+                "anneal_end_factor": 100.0, "momentum": 0.9, "weight_decay": 5e-4,
+                "lr_decay": 0.1, "lr_milestones": "0.5, 0.75"}
 
 
 def write_cfg(tmp_path, text):
@@ -38,13 +41,13 @@ rate = 0.25          # trailing comment
 flip = true
 
 batch_size=64
-lr_milestones = 0.4, 0.8
+finetune_lr = 1e-3
 """))
         assert cfg.model == "lenet"
         assert cfg.rate == 0.25
         assert cfg.flip is True
         assert cfg.batch_size == 64
-        assert cfg.lr_milestones == (0.4, 0.8)
+        assert cfg.finetune_lr == 0.001
 
     def test_unknown_key_names_key_and_line(self, tmp_path):
         with pytest.raises(ConfigError, match=r"line 3.*learning_rate"):
@@ -79,14 +82,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="batch_size"):
             ExperimentConfig(batch_size=1).validate()
 
-    def test_anneal_positivity(self):
-        with pytest.raises(ConfigError, match="anneal_start"):
-            ExperimentConfig(anneal_start=0.0).validate()
-        with pytest.raises(ConfigError, match="anneal_end_factor"):
-            ExperimentConfig(anneal_end_factor=0.5).validate()
-
-    @pytest.mark.parametrize("name", ["eval_batch", "log_every", "window",
-                                      "prune_epochs", "max_prune_epochs"])
+    @pytest.mark.parametrize("name", ["eval_batch", "log_every", "prune_epochs",
+                                      "max_prune_epochs"])
     def test_counts_at_least_one(self, name):
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=rf"{name} must be >= 1, got {bad}"):
@@ -106,30 +103,14 @@ class TestValidation:
             ExperimentConfig(prune_epochs=-1).validate()
         ExperimentConfig(baseline_epochs=0, finetune_epochs=0).validate()
 
-    @pytest.mark.parametrize("bad", [0.0, 0.5, -0.01, 0.75])
-    def test_delta_bin_inside_open_half_interval(self, bad):
-        with pytest.raises(ConfigError, match=rf"delta_bin must be in \(0, 0.5\), got {bad}"):
-            ExperimentConfig(delta_bin=bad).validate()
-        ExperimentConfig(delta_bin=0.49).validate()
-
     def test_crop_pad_nonnegative(self):
         # batches() treated a negative pad as 0 without a word
         with pytest.raises(ConfigError, match="crop_pad must be >= 0, got -1"):
             ExperimentConfig(crop_pad=-1).validate()
         ExperimentConfig(crop_pad=0).validate()
 
-    def test_number_bounds_are_inclusive_where_stated(self):
-        ExperimentConfig(momentum=0.0, weight_decay=0.0, lr_decay=1.0,
-                         lr_milestones=()).validate()
-
-    @pytest.mark.parametrize("line", ["stall_boost = 0", "score_margin = 0",
-                                      "delta_bin = 0.5", "crop_pad = -1",
-                                      "anneal_start = nan", "anneal_end_factor = inf",
-                                      "lr = nan", "lr = -1", "momentum = nan",
-                                      "prune_lr = inf", "weight_decay = -1",
-                                      "lr_milestones = 0.5, nan", "lr_decay = 0",
-                                      "lr_decay = 1.5", "momentum = 1", "momentum = -0.1",
-                                      "finetune_lr = 0"])
+    @pytest.mark.parametrize("line", ["crop_pad = -1", "lr = nan", "lr = -1",
+                                      "prune_lr = inf", "finetune_lr = 0"])
     def test_cli_exits_1_naming_the_key(self, tmp_path, capsys, line):
         assert main(["eval", "--config", str(write_cfg(tmp_path, line + "\n"))]) == 1
         assert line.split()[0] in capsys.readouterr().err
@@ -138,7 +119,7 @@ class TestValidation:
 class TestRoundTrip:
     def test_text_round_trip_exact(self, tmp_path):
         cfg = ExperimentConfig(model="vgg16", rate=1 / 3, lr=0.048, flip=True,
-                               lr_milestones=(0.3, 0.6, 0.9), out_dir="runs/v")
+                               prune_lr=0.1 + 0.2, out_dir="runs/v")
         back = parse_config(write_cfg(tmp_path, config_text(cfg)))
         assert back == cfg
 
@@ -149,9 +130,9 @@ class TestRoundTrip:
         assert parse_config(path) == cfg
 
     def test_dict_round_trip(self):
-        cfg = ExperimentConfig(rate=0.37, lr_milestones=(0.5,))
+        cfg = ExperimentConfig(rate=0.37, flip=True, seed=9, out_dir="runs/d")
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-        assert cfg.to_dict()["lr_milestones"] == [0.5]
+        assert all(type(v) in (str, int, float, bool) for v in cfg.to_dict().values())
 
     def test_dict_unknown_key_is_config_error(self):
         d = ExperimentConfig().to_dict()
@@ -163,7 +144,10 @@ class TestRoundTrip:
 class TestRemovedKeys:
     def test_field_count(self):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert len(fields) == 34 and not fields & set(REMOVED_KEYS)
+        assert len(fields) == 26 and not fields & set(REMOVED_KEYS)
+        # every value is one scalar: the format has no tuple or list field
+        assert {f.type for f in dataclasses.fields(ExperimentConfig)} == {
+            "str", "int", "float", "bool"}
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_refused_as_unknown_even_at_the_value_in_force(self, tmp_path, key):
@@ -173,6 +157,12 @@ class TestRemovedKeys:
         d = dict(ExperimentConfig().to_dict(), **{key: value})
         with pytest.raises(ConfigError, match=rf"^unknown configuration key\(s\): {key}$"):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_cli_exits_1_naming_the_key(self, tmp_path, capsys, key):
+        path = write_cfg(tmp_path, f"{key} = {REMOVED_KEYS[key]}\n")
+        assert main(["eval", "--config", str(path)]) == 1
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
 
 
 class TestShippedConfigs:

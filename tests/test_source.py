@@ -1,9 +1,12 @@
 """Static checks on the package source: no line is over 100 columns, every
 imported name is read, no code switches on block type, the block classes share
-one interface, and every config field is read."""
+one interface, every config field is read, and every package constant README
+names exists with the value README gives."""
 
 import ast
 import dataclasses
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -168,3 +171,38 @@ def test_config_reads_are_found():
            "[getattr(c, f) for f in FIELDS]\nfor g in ('lr',):\n    getattr(c, g)\n"
            "for h in ('window',):\n    pass\nother.batch_size\nconfig.classes\n")
     assert config_reads(ast.parse(src)) == {"rate", "seed", "model", "flip", "lr"}
+
+
+#: a backticked constant of a package module, with or without its value:
+#: `trainer.WINDOW` or `trainer.WINDOW = 3`
+README_CONSTANT = re.compile(r"`([a-z_]+)\.([A-Z][A-Z0-9_]*)(?: = ([^`]+))?`")
+
+
+def constant_drift(text: str) -> list[str]:
+    """Each README constant that names no package constant, or gives another
+    value than the package holds."""
+    drift = []
+    for module, name, value in README_CONSTANT.findall(text):
+        if not (PACKAGE_DIR / f"{module}.py").exists():
+            drift.append(f"{module}.{name}: no module maskprune.{module}")
+            continue
+        mod = importlib.import_module(f"maskprune.{module}")
+        if not hasattr(mod, name):
+            drift.append(f"{module}.{name}: no such constant")
+        elif value and ast.literal_eval(value) != getattr(mod, name):
+            drift.append(f"{module}.{name}: README {value}, package {getattr(mod, name)!r}")
+    return drift
+
+
+def test_readme_constants_match_the_package():
+    text = (PACKAGE_DIR.parent.parent / "README.md").read_text()
+    assert len(README_CONSTANT.findall(text)) >= 20
+    assert constant_drift(text) == []
+
+
+def test_readme_constant_drift_is_found():
+    text = ("`trainer.WINDOW = 3` `config.DEFAULT_WINDOW` `trainer.DELTA_BIN = 0.5` "
+            "`layers.DELTA_FREEZE` `Model.forward` `numpy.NAN`")
+    assert constant_drift(text) == ["config.DEFAULT_WINDOW: no such constant",
+                                    "trainer.DELTA_BIN: README 0.5, package 0.01",
+                                    "numpy.NAN: no module maskprune.numpy"]

@@ -395,7 +395,7 @@ def refreshed_target(trainer, running, target):
     layer = trainer.prunable["conv1"].layer
     values = np.broadcast_to(running.reshape(8, 1, 1, 1), layer.weight.shape).copy()
     state = StrategyState("conv1", np.full(8, 0.5), target=target)
-    anneal = LayerAnneal(state, layer, InfluenceMap("conv1", values, 1), trainer.cfg, 1,
+    anneal = LayerAnneal(state, layer, InfluenceMap("conv1", values, 1), 1,
                          trainer.steps_per_epoch())
     anneal.influence.total[:] = values
     anneal.influence.samples = 1
@@ -417,7 +417,8 @@ class TestTargetRefresh:
         new = refreshed_target(trainer, drifted, plan.targets["conv1"])
         assert int((new == 0).sum()) == 2
         assert_allclose(new, [1, 1, 1, 1, 1, 1, 0, 0])
-        assert_allclose(plan.targets["conv1"], [0, 0, 1, 1, 1, 1, 1, 1])
+        # re-ranked in place: the plan shares the target array and follows it
+        assert new is plan.targets["conv1"]
 
     def test_ties_drop_lower_index_first(self, tmp_path):
         trainer = make_trainer(quick_config(tmp_path))
@@ -434,6 +435,27 @@ class TestTargetRefresh:
                         [1, 1, 1, 1, 0, 1, 0, 0])
         assert_allclose(refreshed_target(trainer, drifted, np.ones(8, dtype=np.int64)),
                         np.ones(8))
+
+
+class TestResumedPlan:
+    def test_a_resume_past_a_swapping_refresh_holds_the_straight_plan(self, tmp_path):
+        """At this seed conv1's refresh swaps its keep set.  Each strategy's
+        target is the plan's array, in a straight run and after a load, so a
+        trainer resumed past the swap holds the straight run's plan."""
+        cfg = quick_config(tmp_path, rate=0.25, prune_epochs=2, max_prune_epochs=6,
+                           finetune_epochs=1)
+        _, straight = run_pipeline(cfg)
+        _, measured = load_checkpoint(Path(cfg.out_dir) / "checkpoint-measure.ckpt")
+        assert not np.array_equal(measured["strategy.conv1.target"],
+                                  straight.strategies["conv1"].target)
+        for stage in ("prune-conv1", "finetune"):
+            resumed = make_trainer(cfg)
+            resumed.load(Path(cfg.out_dir) / f"checkpoint-{stage}.ckpt")
+            assert (resumed.plan.rate, resumed.plan.threshold) == (straight.plan.rate,
+                                                                   straight.plan.threshold)
+            assert_same_arrays(resumed.plan.targets, straight.plan.targets)
+            for t in (straight, resumed):
+                assert all(t.plan.targets[n] is s.target for n, s in t.strategies.items())
 
 
 class TestPipelineSmall:
@@ -746,7 +768,7 @@ class TestNarrowedTraining:
         steps, maps = [], []
         for t, in_cols in ((dense, None), (narrow, cols)):
             anneal = LayerAnneal(t.strategies[active], t.prunable[active].layer, t.maps[active],
-                                 t.cfg, 1, t.steps_per_epoch(), in_cols)
+                                 1, t.steps_per_epoch(), in_cols)
             steps.append(t.train_step(x, y, anneal, t.cfg.prune_lr))
             maps.append(anneal.capture())
         assert abs(steps[0].loss_total - steps[1].loss_total) <= 1e-12
@@ -884,6 +906,12 @@ def with_retired_state(path, out, rng, **config):
     return save_checkpoint(out, meta, old)
 
 
+#: config keys earlier versions wrote for settings now fixed in code, at the
+#: values they are fixed at
+FIXED_SETTINGS = dict(delta_bin=0.01, window=3, anneal_start=0.01, anneal_end_factor=100.0,
+                      momentum=0.9, weight_decay=5e-4, lr_decay=0.1, lr_milestones=[0.5, 0.75])
+
+
 class TestStageLifetime:
     def test_nothing_of_a_prune_stage_outlives_it(self, narrowed_run, tmp_path,
                                                    monkeypatch):
@@ -939,6 +967,35 @@ class TestRetiredState:
         assert resumed.comparable() == report.comparable()
         _, arrays = load_checkpoint(Path(resumed_cfg.out_dir) / "checkpoint-final.ckpt")
         assert_same_arrays(arrays, final)
+
+    def test_a_state_with_the_fixed_settings_resumes_bit_identically(self, narrowed_run,
+                                                                     tmp_path):
+        """A state whose config still holds the settings now fixed in code, at
+        the values they are fixed at, resumes to the straight run's report and
+        final arrays."""
+        cfg, report, _, _ = narrowed_run
+        _, final = load_checkpoint(Path(cfg.out_dir) / "checkpoint-final.ckpt")
+        old = with_retired_state(Path(cfg.out_dir) / "checkpoint-prune-conv2.ckpt",
+                                 tmp_path / "old.ckpt", np.random.default_rng(0),
+                                 **FIXED_SETTINGS)
+        resumed_cfg = narrowed_config(tmp_path)
+        resumed, _ = run_pipeline(resumed_cfg, resume_from=old)
+        assert resumed.comparable() == report.comparable()
+        _, arrays = load_checkpoint(Path(resumed_cfg.out_dir) / "checkpoint-final.ckpt")
+        assert_same_arrays(arrays, final)
+
+    @pytest.mark.parametrize("key,value", [("momentum", 0.8), ("window", 4),
+                                           ("lr_milestones", [0.5])])
+    def test_a_state_with_another_fixed_value_is_refused(self, narrowed_run, tmp_path,
+                                                         key, value):
+        cfg = narrowed_run[0]
+        old = with_retired_state(Path(cfg.out_dir) / "checkpoint-measure.ckpt",
+                                 tmp_path / "old.ckpt", np.random.default_rng(0),
+                                 **dict(FIXED_SETTINGS, **{key: value}))
+        fresh = make_trainer(cfg)
+        with pytest.raises(ConfigError, match=rf"unknown configuration key\(s\): {key}$"):
+            fresh.load(old)
+        assert fresh.completed == [] and fresh.strategies == {}
 
     def test_a_state_that_set_a_data_limit_is_refused(self, narrowed_run, tmp_path):
         cfg = narrowed_run[0]
