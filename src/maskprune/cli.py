@@ -9,10 +9,11 @@ Subcommands::
     maskprune report            compact + evaluate a finished run, emit report
     maskprune inspect-influence dump per-channel influence as CSV
 
-Every stage command resumes from ``--checkpoint`` when given and runs any
-stage that has not completed yet, so ``train`` -> ``prune`` -> ``finetune``
-with chained checkpoints and a single ``finetune`` from scratch produce the
-same artifacts.
+Every command builds its trainer with :meth:`Trainer.from_config`, resuming
+from ``--checkpoint`` when given; ``finetune`` is :func:`run_pipeline`.  A
+stage command runs any stage that has not completed yet, so ``train`` ->
+``prune`` -> ``finetune`` with chained checkpoints and a single ``finetune``
+from scratch produce the same artifacts.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
 (non-convergence, corrupted checkpoint, ...).
@@ -26,45 +27,28 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, parse_config, write_effective_config
+from .config import ExperimentConfig, parse_config
 from .errors import ConfigError, DataError, MaskPruneError
 from .influence import channel_influence
 from .metrics import emit_report
-from .models import build_model
-from .trainer import Trainer, load_datasets
+from .trainer import Trainer, run_pipeline
 
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "out", None):
+    if args.out:
         cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    cfg.validate()
     return cfg
 
 
 def _build_trainer(args) -> Trainer:
-    cfg = _load_config(args)
-    train_ds, test_ds = load_datasets(cfg)
-    model = build_model(cfg.model, train_ds.channels, train_ds.image_size,
-                        cfg.classes, cfg.seed)
-    trainer = Trainer(cfg, model, train_ds, test_ds)
-    if getattr(args, "checkpoint", None):
-        trainer.load(args.checkpoint)
-    return trainer
-
-
-def _require_finished(trainer: Trainer) -> None:
-    missing = [p.stage_id for p in trainer.phases() if p.stage_id not in trainer.completed]
-    if missing:
-        raise ConfigError(
-            "run is not complete; remaining stages: " + ", ".join(missing))
+    return Trainer.from_config(_load_config(args), args.checkpoint)
 
 
 def cmd_train(args) -> int:
     trainer = _build_trainer(args)
-    write_effective_config(trainer.cfg, trainer.cfg.out_dir)
     if trainer.cfg.baseline_epochs == 0:
         print("baseline_epochs is 0; nothing to train")
         return 0
@@ -76,7 +60,6 @@ def cmd_train(args) -> int:
 
 def cmd_prune(args) -> int:
     trainer = _build_trainer(args)
-    write_effective_config(trainer.cfg, trainer.cfg.out_dir)
     prune_stages = [p.stage_id for p in trainer.phases() if p.kind == "prune"]
     if not prune_stages:
         raise ConfigError(f"model {trainer.cfg.model} has no prunable layers")
@@ -87,15 +70,9 @@ def cmd_prune(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    trainer = _build_trainer(args)
-    write_effective_config(trainer.cfg, trainer.cfg.out_dir)
-    trainer.run()
-    report = trainer.finish()
-    trainer.save(trainer.out_dir / "checkpoint-final.ckpt")
-    paths = emit_report(report, trainer.cfg.out_dir)
-    _print_report(report)
-    for p in paths:
-        print(f"wrote {p}")
+    cfg = _load_config(args)
+    report, _ = run_pipeline(cfg, args.checkpoint)
+    _print_report(report, cfg.out_dir)
     return 0
 
 
@@ -108,12 +85,9 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     trainer = _build_trainer(args)
-    _require_finished(trainer)
     report = trainer.finish()
-    paths = emit_report(report, trainer.cfg.out_dir)
-    _print_report(report)
-    for p in paths:
-        print(f"wrote {p}")
+    emit_report(report, trainer.cfg.out_dir)
+    _print_report(report, trainer.cfg.out_dir)
     return 0
 
 
@@ -137,7 +111,7 @@ def cmd_inspect_influence(args) -> int:
     return 0
 
 
-def _print_report(report) -> None:
+def _print_report(report, out_dir) -> None:
     print(f"model={report.model} dataset={report.dataset} seed={report.seed}")
     print(f"accuracy: {report.baseline_acc:.2f}% -> {report.pruned_acc:.2f}% "
           f"(drop {report.acc_drop:+.2f} points)")
@@ -147,6 +121,8 @@ def _print_report(report) -> None:
           f"({100 * report.params_reduction:.1f}% reduction)")
     print(f"channels removed: target rate {report.rate_target:.3f}, "
           f"actual {report.rate_actual:.3f}")
+    for name in ("report.json", "report.csv"):
+        print(f"wrote {Path(out_dir) / name}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,13 +132,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="log per-stage progress")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, checkpoint=True):
+    def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        if checkpoint:
-            p.add_argument("--checkpoint", help="checkpoint to resume from")
+        p.add_argument("--checkpoint", help="checkpoint to resume from")
         p.set_defaults(func=func)
         return p
 

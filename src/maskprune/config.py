@@ -4,8 +4,10 @@ One ``key = value`` assignment per line, ``#`` starts a comment.  Every key
 must be a known field of :class:`ExperimentConfig`; unknown keys are rejected
 by name so typos cannot silently fall back to defaults.  A value is parsed as
 its field's declared type: ``str`` as written, ``int``, ``float``, or ``bool``
-(``true/yes/1/on`` or ``false/no/0/off``).  Settings with one value in use are
-module constants where they are used, not fields.
+(``true/yes/1/on`` or ``false/no/0/off``).  A string value holds no ``#``,
+line break, or leading or trailing whitespace, so :func:`config_text` writes
+one that parses back.  Settings with one value in use are module constants
+where they are used, not fields.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} must hold no '#', line break, or leading or "
+                                  f"trailing whitespace, got {value!r}")
             if f.name in _RANGES and not _RANGES[f.name][1](value):
                 raise ConfigError(f"{f.name} must be {_RANGES[f.name][0]}, got {value}")
         return self

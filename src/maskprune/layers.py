@@ -24,7 +24,7 @@ A weight is drawn when it is first read, not when its layer is built: a
 and draws its ``data`` on the first read, so a weight that is assigned (say,
 loaded from a checkpoint) before anything reads it is never drawn at all.  A
 slice of a weight not yet drawn (``Parameter.sliced``) is not drawn either:
-its first read draws the source and cuts the slice from it.
+it is a one-entry stream, whose draw reads the source and cuts the slice.
 
 Every ``forward``/``backward`` here takes any array-like and returns a
 C-contiguous float64 ndarray.
@@ -98,7 +98,7 @@ class Parameter:
         draws."""
         if self._stream is not None:
             shape = tuple(map(np.count_nonzero, keeps)) + self._shape[len(keeps):]
-            return _SliceOf(self, keeps).add(shape)
+            return _DrawStream(lambda: None).add(shape, lambda _: self.data[_index(keeps)])
         index = _index(keeps)
         out = Parameter(self._data[index])
         if velocity and self.velocity is not None:
@@ -110,36 +110,6 @@ def _index(keeps: tuple[np.ndarray, ...]):
     """The index that selects ``keeps``, one boolean vector per leading axis;
     ``np.ix_`` makes the copy it takes C-contiguous."""
     return np.ix_(*keeps) if len(keeps) > 1 else keeps[0]
-
-
-def _undrawn(stream, shape: tuple[int, ...]) -> Parameter:
-    """A parameter of ``shape`` with no array until ``stream.draw()`` gives it
-    one, which its first read calls."""
-    p = Parameter.__new__(Parameter)
-    p._data = None
-    p._shape = tuple(shape)
-    p._stream = stream
-    p.grad = p.velocity = None
-    return p
-
-
-class _SliceOf:
-    """One not-yet-drawn parameter's slice, cut from it when first read."""
-
-    def __init__(self, source: Parameter, keeps: tuple[np.ndarray, ...]):
-        self._source, self._keeps = source, keeps
-        self._target = None
-
-    def add(self, shape: tuple[int, ...]) -> Parameter:
-        """The slice, a parameter of ``shape``, held by weak reference."""
-        p = _undrawn(self, shape)
-        self._target = weakref.ref(p)
-        return p
-
-    def draw(self) -> None:
-        p = self._target()
-        if p is not None and p._stream is self:
-            p.data = np.ascontiguousarray(self._source.data[_index(self._keeps)])
 
 
 class _DrawStream:
@@ -162,8 +132,13 @@ class _DrawStream:
         self._pending: list = []
 
     def add(self, shape: tuple[int, ...], draw) -> Parameter:
-        """A parameter of ``shape`` whose array will be ``draw(rng)``."""
-        p = _undrawn(self, shape)
+        """A parameter of ``shape`` with no array until its first read calls
+        :meth:`draw`, which gives it ``draw(rng)``."""
+        p = Parameter.__new__(Parameter)
+        p._data = None
+        p._shape = tuple(shape)
+        p._stream = self
+        p.grad = p.velocity = None
         self._pending.append((weakref.ref(p), draw))
         return p
 

@@ -7,6 +7,9 @@ stage per prunable layer from input to output -> ``finetune`` -> compact,
 evaluate, report.  A checkpoint is written after every stage, and a run can
 resume from any of them; batch order, augmentation, and initialization are
 pure functions of (seed, epoch/index), so a resumed run replays exactly.
+Every run, :func:`run_pipeline` and each command, opens through
+:meth:`Trainer.from_config`; :meth:`Trainer.run` writes the effective config,
+and :meth:`Trainer.finish` refuses a run with a stage left.
 
 During a layer's prune stage its gates carry the soft keep probabilities, so
 classification gradients flow into the scorer while the sharpness anneal
@@ -45,7 +48,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pruning
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, write_effective_config
 from .data import Dataset, batches, cifar10_dataset, mnist_dataset, synthetic_dataset
@@ -63,7 +65,7 @@ from .influence import (
     scorer_gradients,
 )
 from .layers import SGD_MOMENTUM, WEIGHT_DECAY, sgd_step, softmax_cross_entropy
-from .metrics import RunReport, count_flops
+from .metrics import RunReport, count_flops, emit_report
 from .models import Model, build_model
 from .pruning import (
     CompressionPlan,
@@ -76,8 +78,9 @@ from .pruning import (
 log = logging.getLogger("maskprune")
 
 #: config fields that define a run: a checkpoint resumes only under a config
-#: that agrees on every one of them (``out_dir`` and ``log_every`` may differ,
-#: so a run can resume into a new directory)
+#: that agrees on every one.  The rest may differ: ``out_dir`` and ``log_every``
+#: (a run may resume into a new directory) and the schedule, ``eval_batch``,
+#: ``lr``, the four phase lengths, ``prune_lr`` and ``finetune_lr``
 RUN_FIELDS = ("model", "dataset", "train_images", "train_labels", "test_images",
               "test_labels", "train_files", "test_files", "synthetic_train",
               "synthetic_test", "classes", "batch_size", "crop_pad", "flip", "rate",
@@ -356,6 +359,19 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 class Trainer:
+    @classmethod
+    def from_config(cls, cfg: ExperimentConfig, resume_from=None) -> "Trainer":
+        """Validate ``cfg``, load its datasets, build its model and, given a
+        checkpoint ``resume_from``, resume from it."""
+        cfg.validate()
+        train_ds, test_ds = load_datasets(cfg)
+        model = build_model(cfg.model, train_ds.channels, train_ds.image_size, cfg.classes,
+                            cfg.seed)
+        trainer = cls(cfg, model, train_ds, test_ds)
+        if resume_from is not None:
+            trainer.load(resume_from)
+        return trainer
+
     def __init__(self, cfg: ExperimentConfig, model: Model, train_ds: Dataset,
                  test_ds: Dataset):
         self.cfg = cfg
@@ -440,18 +456,18 @@ class Trainer:
 
     # -- stages -----------------------------------------------------------
 
-    def _stage_baseline(self, phase: Phase) -> None:
+    def _stage_train(self, phase: Phase) -> None:
+        """Baseline or fine-tune epochs; only the learning rate differs."""
         for e in range(phase.epochs):
-            lr = self._baseline_lr(e)
+            lr = self._baseline_lr(e) if phase.kind == "baseline" else self.cfg.finetune_lr
             running = 0.0
             for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
-                m = self.train_step(x, y, None, lr, step=i)
-                running += m.loss_total
+                running += self.train_step(x, y, None, lr, step=i).loss_total
                 if (i + 1) % self.cfg.log_every == 0:
-                    log.info("baseline epoch %d step %d loss %.4f", e, i + 1,
+                    log.info("%s epoch %d step %d loss %.4f", phase.kind, e, i + 1,
                              running / (i + 1))
             self.global_epoch += 1
-            log.info("baseline epoch %d done, mean loss %.4f", e,
+            log.info("%s epoch %d done, mean loss %.4f", phase.kind, e,
                      running / max(1, self.steps_per_epoch()))
 
     def measure_influence(self) -> dict[str, np.ndarray]:
@@ -543,13 +559,6 @@ class Trainer:
         log.info("prune %s frozen: kept %d/%d channels", name, state.kept,
                  state.target.size)
 
-    def _stage_finetune(self, phase: Phase) -> None:
-        for e in range(phase.epochs):
-            for i, (x, y) in enumerate(self._train_batches(self.global_epoch)):
-                self.train_step(x, y, None, self.cfg.finetune_lr, step=i)
-            self.global_epoch += 1
-            log.info("finetune epoch %d done", e)
-
     # -- orchestration ------------------------------------------------------
 
     def phases(self) -> list[Phase]:
@@ -565,31 +574,40 @@ class Trainer:
         return out
 
     def run(self, until: str | None = None) -> None:
-        """Execute every not-yet-completed stage (optionally stopping after
-        ``until``), checkpointing at each stage boundary."""
-        runners = {"baseline": self._stage_baseline, "measure": self._stage_measure,
-                   "prune": self._stage_prune, "finetune": self._stage_finetune}
-        for phase in self.phases():
+        """Write the effective config, then run every stage not yet completed
+        up to and including ``until`` (default: all), checkpointing after
+        each.  An ``until`` the run lacks raises :class:`ConfigError` first."""
+        phases = self.phases()
+        stages = [p.stage_id for p in phases]
+        if until is not None and until not in stages:
+            raise ConfigError(f"no stage '{until}' in this run; its stages are "
+                              + ", ".join(stages))
+        write_effective_config(self.cfg, self.out_dir)
+        runners = {"baseline": self._stage_train, "measure": self._stage_measure,
+                   "prune": self._stage_prune, "finetune": self._stage_train}
+        for phase in phases:
             stage = phase.stage_id
-            if stage in self.completed:
-                continue
-            t0 = time.perf_counter()
-            self.stage = stage
-            runners[phase.kind](phase)
-            self.phase_seconds[stage] = self.phase_seconds.get(stage, 0.0) + (
-                time.perf_counter() - t0)
-            self.completed.append(stage)
-            self.save(self.out_dir / f"checkpoint-{stage.replace(':', '-')}.ckpt")
-            if until is not None and stage == until:
+            if stage not in self.completed:
+                t0 = time.perf_counter()
+                self.stage = stage
+                runners[phase.kind](phase)
+                self.phase_seconds[stage] = self.phase_seconds.get(stage, 0.0) + (
+                    time.perf_counter() - t0)
+                self.completed.append(stage)
+                self.save(self.out_dir / f"checkpoint-{stage.replace(':', '-')}.ckpt")
+            if stage == until:
                 return
 
     def finish(self) -> RunReport:
-        """Compact, evaluate, and assemble the report (after all stages ran).
+        """Compact, evaluate, and assemble the report.  A run with a stage
+        not yet completed raises :class:`ConfigError` naming those stages.
 
         Each prune stage narrowed its layer as it froze it, so the compacted
         model is a copy of ``self.model``: fresh arrays, no velocity."""
+        missing = [p.stage_id for p in self.phases() if p.stage_id not in self.completed]
+        if missing:
+            raise ConfigError("run is not complete; remaining stages: " + ", ".join(missing))
         t0 = time.perf_counter()
-        pruning.frozen_keep(self.strategies)
         compacted = self.model.compact({})
         pruned_acc = self.evaluate(compacted)
         cost_after = count_flops(compacted)
@@ -683,18 +701,10 @@ class Trainer:
 
 
 def run_pipeline(cfg: ExperimentConfig, resume_from=None) -> tuple[RunReport, Trainer]:
-    """Build everything from a config, run (or resume) the full pipeline, and
-    emit the report files into the output directory."""
-    from .metrics import emit_report
-
-    cfg.validate()
-    train_ds, test_ds = load_datasets(cfg)
-    model = build_model(cfg.model, train_ds.channels, train_ds.image_size, cfg.classes,
-                        cfg.seed)
-    trainer = Trainer(cfg, model, train_ds, test_ds)
-    write_effective_config(cfg, cfg.out_dir)
-    if resume_from is not None:
-        trainer.load(resume_from)
+    """Build a trainer from a config (see :meth:`Trainer.from_config`), run or
+    resume the full pipeline, save ``checkpoint-final.ckpt`` and emit the
+    report files into the output directory."""
+    trainer = Trainer.from_config(cfg, resume_from)
     trainer.run()
     report = trainer.finish()
     trainer.save(trainer.out_dir / "checkpoint-final.ckpt")

@@ -69,14 +69,14 @@ class TestExitCodes:
 
 
     def test_nan_loss_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
-        import maskprune.cli as cli
+        import maskprune.trainer as trainer
 
         def poisoned(*args, **kwargs):
             model = build_model(*args, **kwargs)
             model.blocks[1].conv.weight.data[0, 0, 0, 0] = np.nan
             return model
 
-        monkeypatch.setattr(cli, "build_model", poisoned)
+        monkeypatch.setattr(trainer, "build_model", poisoned)
         assert main(["train", "--config", str(write_quick_config(tmp_path))]) == 2
         err = capsys.readouterr().err
         assert "runtime failure: non-finite loss nan in stage baseline, epoch 0, step 0" in err

@@ -1,6 +1,7 @@
 """Config file parsing, validation, and round-tripping."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,60 @@ class TestRoundTrip:
         d["learning_rate"] = 0.1
         with pytest.raises(ConfigError, match="unknown configuration key.*learning_rate"):
             ExperimentConfig.from_dict(d)
+
+
+#: string values ``config_text`` cannot write so that they parse back: a
+#: comment start, line breaks, and whitespace the parser strips; ``{d}`` is a
+#: scratch directory
+UNWRITABLE = {"hash": "{d}/#1", "leading-space": " {d}/x", "trailing-space": "{d}/x ",
+              "trailing-tab": "{d}/x\t", "newline": "{d}/a\nseed = 3",
+              "carriage-return": "{d}/a\rb", "line-separator": "{d}/a\u2028b"}
+
+
+def reparsed(tmp_path, cfg):
+    """``cfg`` written by ``config_text`` and parsed back, or None if the text
+    does not parse."""
+    try:
+        return parse_config(write_cfg(tmp_path, config_text(cfg)))
+    except ConfigError:
+        return None
+
+
+class TestStringValues:
+    @pytest.mark.parametrize("value", UNWRITABLE.values(), ids=UNWRITABLE)
+    def test_a_value_that_would_not_round_trip_is_refused(self, tmp_path, value):
+        value = value.format(d=tmp_path / "runs")
+        cfg = ExperimentConfig()
+        cfg.out_dir = value
+        assert reparsed(tmp_path, cfg) != cfg
+        message = (r"^out_dir must hold no '#', line break, or leading or trailing "
+                   rf"whitespace, got {re.escape(repr(value))}$")
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(cfg.to_dict())
+
+    @pytest.mark.parametrize("value", UNWRITABLE.values(), ids=UNWRITABLE)
+    def test_cli_exits_1_naming_the_key(self, tmp_path, capsys, value):
+        path = write_cfg(tmp_path, "synthetic_train = 64\nsynthetic_test = 32\n"
+                                   "batch_size = 32\nbaseline_epochs = 1\n")
+        out = value.format(d=tmp_path / "runs")
+        assert main(["train", "--config", str(path), "--out", out]) == 1
+        assert "error: out_dir must hold no '#'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_every_string_field_is_checked(self):
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.type == "str":
+                with pytest.raises(ConfigError, match=rf"^{f.name} must hold no '#'"):
+                    ExperimentConfig(**{f.name: "a#b"}).validate()
+
+    def test_a_value_that_round_trips_is_accepted(self, tmp_path):
+        cfg = ExperimentConfig(out_dir=f"{tmp_path}/runs/with space/a=b;c",
+                               train_files="a.bin, b.bin", model="lenet", test_images="")
+        assert cfg.validate() is cfg
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert reparsed(tmp_path, cfg) == cfg
 
 
 class TestRemovedKeys:

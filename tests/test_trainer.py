@@ -1,5 +1,6 @@
 """Pipeline orchestration: anchoring, joint strategy steps, stage plumbing."""
 
+import dataclasses
 import gc
 import weakref
 from pathlib import Path
@@ -31,6 +32,7 @@ from maskprune.metrics import count_flops
 from maskprune.models import Model, build_model
 from maskprune.pruning import SharpnessSchedule, build_plan, lambda_value
 from maskprune.trainer import (
+    RUN_FIELDS,
     STATE_FORMAT,
     LayerAnneal,
     Phase,
@@ -619,6 +621,103 @@ class TestPipelineSmall:
                                           log_every=7))
         other.load(path)
         assert other.completed == ["baseline"]
+
+
+class TestOneWayToRun:
+    def test_from_config_is_a_built_and_loaded_trainer(self, narrowed_run, tmp_path):
+        cfg = narrowed_config(tmp_path)
+        path = Path(narrowed_run[0].out_dir) / "checkpoint-prune-conv2.ckpt"
+        built = make_trainer(cfg)
+        built.load(path)
+        opened = Trainer.from_config(cfg, path)
+        assert_same_arrays(opened.model.state_arrays(), built.model.state_arrays())
+        assert_same_arrays({n: m.values for n, m in opened.maps.items()},
+                           {n: m.values for n, m in built.maps.items()})
+        assert ({n: m.samples for n, m in opened.maps.items()}
+                == {n: m.samples for n, m in built.maps.items()})
+        for t in (opened, built):
+            assert all(t.plan.targets[n] is s.target for n, s in t.strategies.items())
+        assert_same_arrays({n: s.soft for n, s in opened.strategies.items()},
+                           {n: s.soft for n, s in built.strategies.items()})
+        assert_same_arrays(opened.plan.targets, built.plan.targets)
+        assert ({n: s.status for n, s in opened.strategies.items()}
+                == {n: s.status for n, s in built.strategies.items()})
+        assert (opened.plan.rate, opened.plan.threshold) == (built.plan.rate,
+                                                             built.plan.threshold)
+        assert (opened.completed, opened.global_epoch, opened.metrics) == (
+            built.completed, built.global_epoch, built.metrics)
+        assert_same_arrays(Trainer.from_config(cfg).model.state_arrays(),
+                           make_trainer(cfg).model.state_arrays())
+
+    def test_finish_refuses_a_run_with_stages_left(self, narrowed_run, tmp_path):
+        cfg = narrowed_config(tmp_path)
+        trainer = Trainer.from_config(
+            cfg, Path(narrowed_run[0].out_dir) / "checkpoint-measure.ckpt")
+        with pytest.raises(ConfigError, match="^run is not complete; remaining stages: "
+                                              "prune:conv1, prune:conv2, prune:conv3, "
+                                              "prune:conv4, finetune$"):
+            trainer.finish()
+        assert not hasattr(trainer, "compacted") and "compact" not in trainer.phase_seconds
+        assert not Path(cfg.out_dir).exists()
+
+    def test_the_effective_config_is_written_once_per_run(self, tmp_path, monkeypatch):
+        import maskprune.trainer as trainer_module
+
+        written = []
+        real = trainer_module.write_effective_config
+        monkeypatch.setattr(trainer_module, "write_effective_config",
+                            lambda cfg, out: written.append(out) or real(cfg, out))
+        cfg = quick_config(tmp_path)
+        trainer = Trainer.from_config(cfg)
+        assert written == []
+        trainer.run(until="baseline")
+        trainer.run(until="measure")
+        assert written == [trainer.out_dir] * 2
+        run_pipeline(quick_config(tmp_path, out_dir=str(tmp_path / "whole")))
+        assert written[2:] == [tmp_path / "whole"]
+        path = Path(cfg.out_dir) / "effective-config.txt"
+        assert path.read_text() == config_text(cfg)
+
+    @pytest.mark.parametrize("over,until", [({}, "prune:conv9"), ({}, "prune"),
+                                            ({"baseline_epochs": 0}, "baseline"),
+                                            ({}, "finetune")],
+                             ids=["no-such-layer", "kind-alone", "zero-baseline",
+                                  "zero-finetune"])
+    def test_an_until_the_run_lacks_is_refused_before_anything_is_written(
+            self, tmp_path, over, until):
+        cfg = quick_config(tmp_path, **over)
+        trainer = make_trainer(cfg)
+        stages = ", ".join(p.stage_id for p in trainer.phases())
+        with pytest.raises(ConfigError, match=f"^no stage '{until}' in this run; "
+                                              f"its stages are {stages}$"):
+            trainer.run(until=until)
+        assert trainer.completed == [] and trainer.global_epoch == 0
+        assert not Path(cfg.out_dir).exists()
+
+    def test_an_until_already_completed_runs_nothing(self, narrowed_run, tmp_path):
+        cfg = narrowed_config(tmp_path)
+        trainer = Trainer.from_config(
+            cfg, Path(narrowed_run[0].out_dir) / "checkpoint-measure.ckpt")
+        epoch = trainer.global_epoch
+        trainer.run(until="baseline")
+        assert trainer.completed == ["baseline", "measure"]
+        assert trainer.global_epoch == epoch
+        assert not list(Path(cfg.out_dir).glob("*.ckpt"))
+
+
+#: config fields a resume may change, besides RUN_FIELDS: where the run writes,
+#: how often it logs, and the schedule of the stages still to run
+MAY_DIFFER_ON_RESUME = {"out_dir", "log_every", "eval_batch", "lr", "baseline_epochs",
+                        "prune_epochs", "max_prune_epochs", "finetune_epochs", "prune_lr",
+                        "finetune_lr"}
+
+
+def test_every_config_field_is_a_run_field_or_may_differ_on_resume():
+    """A new field must be classified: in RUN_FIELDS, or added here."""
+    assert not MAY_DIFFER_ON_RESUME & set(RUN_FIELDS)
+    assert sorted(MAY_DIFFER_ON_RESUME | set(RUN_FIELDS)) == sorted(
+        f.name for f in dataclasses.fields(ExperimentConfig))
+    assert len(RUN_FIELDS) == len(set(RUN_FIELDS))
 
 
 class TestStateFormat:
